@@ -1,15 +1,11 @@
 """Best-L1 polynomial approximation, corrupted-polynomial recovery, and
-error-localization measurements on [-1, 1]."""
+error-localization measurements on [-1, 1].
 
-from .chebyshev import (
-    Basis,
-    ChebGrid,
-    ChebSeries,
-    build_grid,
-    differentiate,
-    integral_secondkind_segment,
-    interpolate_on_grid,
-)
+The package namespace holds the entry points; everything else is imported
+from its submodule (l1rec.chebyshev, l1rec.funcrep, l1rec.recovery, ...).
+"""
+
+from .chebyshev import Basis, ChebSeries
 from .errors import (
     CertificateUnavailable,
     DomainError,
@@ -18,78 +14,27 @@ from .errors import (
     NoConvergence,
     NotFound,
     ParseError,
+    SolverFailure,
     StepFailure,
     SubdivisionLimit,
     TooLarge,
 )
-from .funcrep import Corruption, FuncRep, Residual, norm
-from .lp import LpSolution, LpStatus, WeightedL1Fit, dual_certificate, solve
-from .newton import BestL1Result, NewtonState, Path, best_l1
-from .proxy import PiecewiseCheb, adaptive_proxy
-from .recovery import (
-    RecoveryReport,
-    degree_sweep,
-    exact_recovery_threshold,
-    near_recovery_factor,
-    null_space_basis,
-    recover_l0_oracle,
-    recover_l1,
-    rip_bound,
-    rip_bruteforce,
-)
-from .localization import (
-    LocalizationReport,
-    MinimaxResult,
-    abs_case,
-    concentration_ratio,
-    minimax,
-    omega_measure,
-    sqrt_case,
-)
-from .rootfind import roots_in_interval
+from .funcrep import FuncRep, norm
+from .localization import minimax, omega_measure
+from .newton import best_l1
+from .recovery import recover_l1
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Basis",
-    "BestL1Result",
-    "ChebGrid",
     "ChebSeries",
-    "Corruption",
     "FuncRep",
-    "LocalizationReport",
-    "LpSolution",
-    "LpStatus",
-    "MinimaxResult",
-    "NewtonState",
-    "Path",
-    "PiecewiseCheb",
-    "RecoveryReport",
-    "Residual",
-    "WeightedL1Fit",
-    "abs_case",
-    "adaptive_proxy",
     "best_l1",
-    "build_grid",
-    "concentration_ratio",
-    "degree_sweep",
-    "differentiate",
-    "dual_certificate",
-    "exact_recovery_threshold",
-    "integral_secondkind_segment",
-    "interpolate_on_grid",
     "minimax",
-    "near_recovery_factor",
     "norm",
-    "null_space_basis",
     "omega_measure",
-    "recover_l0_oracle",
     "recover_l1",
-    "rip_bound",
-    "rip_bruteforce",
-    "roots_in_interval",
-    "solve",
-    "sqrt_case",
     "CertificateUnavailable",
     "DomainError",
     "ExchangeStalled",
@@ -97,6 +42,7 @@ __all__ = [
     "NoConvergence",
     "NotFound",
     "ParseError",
+    "SolverFailure",
     "StepFailure",
     "SubdivisionLimit",
     "TooLarge",

@@ -18,7 +18,13 @@ from .expressions import Expression, parse_expression
 from .funcrep import Corruption, FuncRep
 from .rootfind import roots_in_interval
 
-__all__ = ["CATALOG_NAMES", "catalog_function", "funcrep_from_expression", "resolve_function"]
+__all__ = [
+    "CATALOG_NAMES",
+    "catalog_function",
+    "corrupted",
+    "funcrep_from_expression",
+    "resolve_function",
+]
 
 T5_COEFFS_FIRST = (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
 
@@ -34,7 +40,9 @@ def _p8(x):
     return legendre.legval(np.asarray(x, dtype=float), [0.0] * 8 + [1.0])
 
 
-def _corrupted(clean, omega, corruption: Corruption, name: str) -> FuncRep:
+def corrupted(clean, omega, corruption: Corruption, name: str) -> FuncRep:
+    """FuncRep of clean(x), plus omega(x) on the corruption support."""
+
     def evaluate(x):
         x = np.asarray(x, dtype=float)
         return clean(x) + np.where(corruption.contains(x), omega(x), 0.0)
@@ -60,11 +68,11 @@ def catalog_function(name: str) -> FuncRep:
     if name == "corrupted_t5":
         corr = Corruption(intervals=T5_INTERVALS, clean=_t5)
         omega = lambda x: 2.0 * np.cos(35.0 * x) + 0.8
-        return _corrupted(_t5, omega, corr, name)
+        return corrupted(_t5, omega, corr, name)
     if name == "legendre8_corrupted":
         corr = Corruption(intervals=LEGENDRE8_INTERVALS, clean=_p8)
         omega = lambda x: 3.0 * np.sin(40.0 * x) + 0.5
-        return _corrupted(_p8, omega, corr, name)
+        return corrupted(_p8, omega, corr, name)
     raise KeyError(f"unknown catalog function {name!r}")
 
 

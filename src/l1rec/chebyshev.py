@@ -13,18 +13,22 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.fft
 
 __all__ = [
     "Basis",
     "ChebGrid",
     "ChebSeries",
     "build_grid",
+    "chebpts_first",
     "chebvander_second",
+    "coeffs_from_values",
     "differentiate",
     "first_to_second",
     "integral_secondkind_segment",
     "interpolate_on_grid",
     "second_to_first",
+    "secondkind_segment_integrals",
     "tcheb_values",
 ]
 
@@ -132,6 +136,20 @@ def tcheb_values(kmax: int, x) -> np.ndarray:
     return np.cos(k * theta)
 
 
+def secondkind_segment_integrals(n: int, bounds) -> np.ndarray:
+    """Table I[j, i] = integral of U_j over [bounds[i], bounds[i+1]], for
+    j = 0..n and each pair of consecutive bounds, shape (n+1, len(bounds)-1).
+
+    Uses integral U_j = T_{j+1}/(j+1) and differences each term on its own,
+    (T_{j+1}(b_{i+1}) - T_{j+1}(b_i))/(j+1): summing a series' antiderivative
+    first and differencing after loses digits to cancellation.
+    """
+    T = tcheb_values(n + 1, np.asarray(bounds, dtype=float))
+    table = T[1:, 1:] - T[1:, :-1]
+    table /= np.arange(1, n + 2)[:, None]  # in place: at high n the table is large
+    return table
+
+
 def chebvander_second(x, n: int) -> np.ndarray:
     """Vandermonde matrix V[i, j] = U_j(x_i) for j = 0..n."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -226,14 +244,26 @@ class ChebSeries:
     def integrate(self, a: float = -1.0, b: float = 1.0) -> float:
         """Exact integral of the series over [a, b] within [-1, 1]."""
         c = self.to_basis(Basis.SECOND).coeffs
-        n = len(c) - 1
-        T = tcheb_values(n + 1, np.array([a, b]))
-        k = np.arange(1, n + 2)
-        anti = (T[1:, 1] - T[1:, 0]) / k
-        return float(np.dot(c, anti))
+        return float(c @ secondkind_segment_integrals(len(c) - 1, [a, b])[:, 0])
 
     def __repr__(self) -> str:  # compact: long coefficient arrays are noise
         return f"ChebSeries({self.basis.value}, degree={self.degree})"
+
+
+def chebpts_first(m: int, a: float, b: float) -> np.ndarray:
+    """m Chebyshev points of the first kind mapped to [a, b], descending in
+    the canonical DCT ordering x_k = cos(pi (2k+1)/(2m))."""
+    k = np.arange(m)
+    t = np.cos(np.pi * (2 * k + 1) / (2 * m))
+    return 0.5 * (a + b) + 0.5 * (b - a) * t
+
+
+def coeffs_from_values(vals: np.ndarray) -> np.ndarray:
+    """First-kind coefficients of the interpolant at first-kind points."""
+    m = len(vals)
+    a = scipy.fft.dct(vals, type=2) / m
+    a[0] /= 2.0
+    return a
 
 
 def interpolate_on_grid(f, n: int) -> ChebSeries:
@@ -241,8 +271,9 @@ def interpolate_on_grid(f, n: int) -> ChebSeries:
 
     Computed from the discrete orthogonality
     sum_l U_i(x_l) U_j(x_l) (1 - x_l^2) = (n+2)/2 * delta_ij,
-    so c_j = 2/(n+2) * sum_l sin(theta_l) sin((j+1) theta_l) f(x_l).
-    Returns a second-kind series.
+    so c_j = 2/(n+2) * sum_l sin(theta_l) sin((j+1) theta_l) f(x_l). With
+    theta_l = (n+1-l) pi/(n+2) that sum is a DST-I of the reversed
+    sin(theta_l) f(x_l). Returns a second-kind series.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
@@ -251,9 +282,7 @@ def interpolate_on_grid(f, n: int) -> ChebSeries:
     vals = np.asarray(evaluate(grid.points), dtype=float)
     if vals.shape != grid.points.shape:
         vals = np.array([float(evaluate(x)) for x in grid.points])
-    theta = grid.thetas
-    S = np.sin(np.outer(np.arange(1, n + 2), theta))
-    c = (2.0 / (n + 2)) * (S @ (grid.sines * vals))
+    c = scipy.fft.dst((grid.sines * vals)[::-1], type=1) / (n + 2)
     return ChebSeries(Basis.SECOND, c)
 
 
@@ -273,5 +302,4 @@ def integral_secondkind_segment(j: int, a: float, b: float) -> float:
     """integral_a^b U_j(x) dx = (T_{j+1}(b) - T_{j+1}(a)) / (j+1), exactly."""
     if j < 0:
         raise ValueError("j must be >= 0")
-    ta, tb = np.cos((j + 1) * np.arccos(np.clip([a, b], -1.0, 1.0)))
-    return float((tb - ta) / (j + 1))
+    return float(secondkind_segment_integrals(j, [a, b])[j, 0])

@@ -21,35 +21,15 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .catalog import CATALOG_NAMES, catalog_function, funcrep_from_expression
+from .catalog import CATALOG_NAMES, catalog_function, corrupted, funcrep_from_expression
 from .chebyshev import Basis, ChebSeries, build_grid
-from .errors import (
-    DomainError,
-    ExchangeStalled,
-    NoConvergence,
-    NotFound,
-    ParseError,
-    StepFailure,
-    SubdivisionLimit,
-    TooLarge,
-)
+from .errors import DomainError, L1RecError, ParseError
 from .expressions import parse_expression
 from .funcrep import Corruption, FuncRep, Residual
 from .localization import omega_measure
 from .newton import Path, best_l1
 from .recovery import degree_sweep, recover_l1, rip_bound, rip_bruteforce
 from . import experiments
-
-log = logging.getLogger("l1rec")
-
-NUMERICAL_ERRORS = (
-    NoConvergence,
-    SubdivisionLimit,
-    ExchangeStalled,
-    StepFailure,
-    TooLarge,
-    NotFound,
-)
 
 REPORT_KEYS = (
     "command",
@@ -113,6 +93,7 @@ def _base_report(command: str, input_desc: dict, args) -> dict:
     ).hexdigest()
     if not args.no_timestamp:
         report["timestamp"] = datetime.now(timezone.utc).isoformat()
+    args.report = report  # run() writes it as the partial report on failure
     return report
 
 
@@ -173,13 +154,7 @@ def _corrupted_spec(spec: str) -> FuncRep:
     coeffs = np.loadtxt(coeff_path, ndmin=1)
     clean = ChebSeries(Basis.SECOND, coeffs)
     corr = Corruption(intervals=_parse_intervals(intervals_text), clean=clean)
-    omega = parse_expression(omega_text)
-
-    def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        return clean(x) + np.where(corr.contains(x), omega(x), 0.0)
-
-    return FuncRep(evaluate, corruption=corr, name=spec)
+    return corrupted(clean, parse_expression(omega_text), corr, spec)
 
 
 def _resolve_fn(spec: str, *, allow_samples: bool):
@@ -210,14 +185,7 @@ def _cmd_approx(args) -> int:
     f, _ = _resolve_fn(args.fn, allow_samples=False)
     report["degree"] = args.degree
     code = 0
-    try:
-        out = best_l1(f, args.degree, tol=args.tol)
-    except NUMERICAL_ERRORS as exc:
-        report["path"] = type(exc).__name__
-        _emit(report, args, started)
-        log.error("approx failed: %s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    out = best_l1(f, args.degree, tol=args.tol)
     report["path"] = out.path.value
     report["l1_error"] = out.l1_error
     report["linf_error"] = Residual(f, out.polynomial).linf()
@@ -283,40 +251,32 @@ def _cmd_localize(args) -> int:
     input_desc = {"fn": args.fn, "degrees": degrees}
     report = _base_report("localize", input_desc, args)
     f, _ = _resolve_fn(args.fn, allow_samples=False)
-    runs = []
-    code = 0
-    try:
-        for n in degrees:
-            rep = omega_measure(f, n)
-            runs.append(
-                {
-                    "degree": n,
-                    "l1_error": rep.l1_error,
-                    "linf_error": rep.linf_error,
-                    "omega_measure": rep.omega_measure,
-                    "omega_bound": rep.omega_bound,
-                    "omega_intervals": [[a, b] for a, b in rep.omega_intervals],
-                    "path": rep.best_path,
-                }
-            )
-    except NUMERICAL_ERRORS as exc:
-        report["path"] = type(exc).__name__
-        code = 3
-        print(f"error: {exc}", file=sys.stderr)
-    report["runs"] = runs
-    if runs:
-        last = runs[-1]
-        report["degree"] = last["degree"]
-        report["l1_error"] = last["l1_error"]
-        report["linf_error"] = last["linf_error"]
-        report["omega_measure"] = last["omega_measure"]
-        report["path"] = last["path"]
-    if len(degrees) >= 2 and len(runs) == len(degrees):
+    runs = report["runs"] = []  # a failure keeps the completed runs
+    for n in degrees:
+        rep = omega_measure(f, n)
+        runs.append(
+            {
+                "degree": n,
+                "l1_error": rep.l1_error,
+                "linf_error": rep.linf_error,
+                "omega_measure": rep.omega_measure,
+                "omega_bound": rep.omega_bound,
+                "omega_intervals": [[a, b] for a, b in rep.omega_intervals],
+                "path": rep.best_path,
+            }
+        )
+    last = runs[-1]
+    report["degree"] = last["degree"]
+    report["l1_error"] = last["l1_error"]
+    report["linf_error"] = last["linf_error"]
+    report["omega_measure"] = last["omega_measure"]
+    report["path"] = last["path"]
+    if len(degrees) >= 2:
         report["slope"] = experiments.loglog_slope(
             degrees, [r["omega_measure"] for r in runs]
         )
     _emit(report, args, started)
-    return code
+    return 0
 
 
 def _cmd_rip(args) -> int:
@@ -459,19 +419,18 @@ def run(argv=None) -> int:
         "rip": _cmd_rip,
         "bench": _cmd_bench,
     }
+    started = time.monotonic()
     try:
         return handlers[args.command](args)
     except (ParseError, DomainError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NUMERICAL_ERRORS as exc:
-        # partial report with the failure recorded
-        skip = {"out", "no_timestamp", "command"}
-        input_desc = {k: v for k, v in vars(args).items() if k not in skip}
-        report = _base_report(args.command, input_desc, args)
+    except L1RecError as exc:
+        # every handler builds its report before any numerical work
+        report = args.report
         report["path"] = type(exc).__name__
         report["error"] = str(exc)
-        _emit(report, args, time.monotonic())
+        _emit(report, args, started)
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

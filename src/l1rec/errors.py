@@ -47,3 +47,7 @@ class StepFailure(L1RecError):
 
 class ExchangeStalled(L1RecError):
     """The minimax exchange iteration failed to make progress."""
+
+
+class SolverFailure(L1RecError, RuntimeError):
+    """The LP solver stopped without an optimal or iteration-limited answer."""

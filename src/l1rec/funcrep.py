@@ -14,11 +14,28 @@ from functools import cached_property
 
 import numpy as np
 
-from .chebyshev import Basis, ChebSeries, build_grid
-from .proxy import PiecewiseCheb, Piece, adaptive_proxy, _chebpts_first, _coeffs_from_values
+from .chebyshev import (
+    Basis,
+    ChebSeries,
+    build_grid,
+    chebpts_first,
+    coeffs_from_values,
+    secondkind_segment_integrals,
+)
+from .proxy import PiecewiseCheb, Piece, adaptive_proxy
 from .rootfind import roots_in_interval, sign_changing
 
-__all__ = ["Corruption", "FuncRep", "Residual", "norm"]
+__all__ = ["Corruption", "FuncRep", "Residual", "abs_integral", "norm", "segment_l1"]
+
+_SUP_POINTS = np.cos(np.linspace(0.0, np.pi, 2049))
+
+
+def _sup_abs(fn, breakpoints) -> float:
+    """max |fn| over 2049 Chebyshev points, +-1, and every breakpoint with
+    its neighbours at +-1e-9 (so a jump cannot hide between samples)."""
+    extra = [t + d for t in breakpoints for d in (-1e-9, 0.0, 1e-9)]
+    x = np.clip(np.concatenate([_SUP_POINTS, extra, [-1.0, 1.0]]), -1.0, 1.0)
+    return float(np.max(np.abs(fn(x))))
 
 
 def _vectorized(fn):
@@ -96,10 +113,7 @@ class FuncRep:
 
     @cached_property
     def value_scale(self) -> float:
-        x = np.cos(np.linspace(0.0, np.pi, 1025))
-        extra = [t + d for t in self.breakpoints for d in (-1e-9, 0.0, 1e-9)]
-        x = np.clip(np.concatenate([x, extra, [-1.0, 1.0]]), -1.0, 1.0)
-        return max(float(np.max(np.abs(self.eval(x)))), 1e-300)
+        return max(_sup_abs(self.eval, self.breakpoints), 1e-300)
 
     @cached_property
     def proxy(self) -> PiecewiseCheb:
@@ -152,10 +166,7 @@ class Residual:
 
     @cached_property
     def scale(self) -> float:
-        x = np.cos(np.linspace(0.0, np.pi, 2049))
-        extra = [t + d for t in self.f.breakpoints for d in (-1e-9, 0.0, 1e-9)]
-        x = np.clip(np.concatenate([x, extra]), -1.0, 1.0)
-        return float(np.max(np.abs(self(x))))
+        return _sup_abs(self, self.f.breakpoints)
 
     @cached_property
     def eval_noise(self) -> float:
@@ -210,10 +221,8 @@ class Residual:
             return 0.0
         cuts = np.concatenate([self.sign_change_roots, self.f.breakpoints])
         bounds = np.unique(np.concatenate([[-1.0], cuts[(cuts > -1) & (cuts < 1)], [1.0]]))
-        total = 0.0
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            total += abs(self.f.integrate(a, b) - self.p.integrate(a, b))
-        return total
+        c = self.p.to_basis(Basis.SECOND).coeffs
+        return segment_l1(self.f, bounds, c @ secondkind_segment_integrals(len(c) - 1, bounds))
 
     def linf(self) -> float:
         """||e||_inf from derivative roots, endpoints, and breakpoints."""
@@ -230,10 +239,19 @@ class Residual:
         return float(np.max(np.abs(self(pts))))
 
 
-def _series_l1(series: ChebSeries) -> float:
-    rts = roots_in_interval(series)
-    bounds = np.concatenate([[-1.0], rts, [1.0]])
-    return float(sum(abs(series.integrate(a, b)) for a, b in zip(bounds[:-1], bounds[1:])))
+def segment_l1(f: FuncRep, bounds, p_integrals) -> float:
+    """sum_i |integral of f - p over [bounds[i], bounds[i+1]]| for ascending
+    bounds, given the segment integrals of p: ||f - p||_1 when f - p keeps
+    one sign on every segment."""
+    return float(np.sum(np.abs(f.proxy.segment_integrals(bounds) - p_integrals)))
+
+
+def abs_integral(p: ChebSeries, a: float, b: float) -> float:
+    """integral_a^b |p| by splitting [a, b] at the roots of p."""
+    rts = roots_in_interval(p, a, b) if a < b else np.empty(0)
+    bounds = np.unique(np.concatenate([[a], rts, [b]]))
+    c = p.to_basis(Basis.SECOND).coeffs
+    return float(np.sum(np.abs(c @ secondkind_segment_integrals(len(c) - 1, bounds))))
 
 
 def _series_linf(series: ChebSeries) -> float:
@@ -269,7 +287,7 @@ def norm(obj, which: str, *, N: int | None = None, tol: float | None = None) -> 
 
     if isinstance(obj, ChebSeries):
         if which == "L1":
-            return _series_l1(obj)
+            return abs_integral(obj, -1.0, 1.0)
         if which == "Linf":
             return _series_linf(obj)
         if which == "L2":
@@ -285,9 +303,9 @@ def norm(obj, which: str, *, N: int | None = None, tol: float | None = None) -> 
             for piece in res.f.proxy.pieces:
                 mid, half = 0.5 * (piece.a + piece.b), 0.5 * (piece.b - piece.a)
                 m = max(piece.series.degree, res.p.degree) + 1
-                pts = _chebpts_first(m, -1.0, 1.0)
+                pts = chebpts_first(m, -1.0, 1.0)
                 vals = piece.series(pts) - res.p(mid + half * pts)
-                a1 = _coeffs_from_values(vals)
+                a1 = coeffs_from_values(vals)
                 sq = np.polynomial.chebyshev.chebmul(a1, a1)
                 total += half * ChebSeries(Basis.FIRST, sq).integrate()
             return float(np.sqrt(max(total, 0.0)))

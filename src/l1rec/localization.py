@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import Basis, ChebSeries
+from .chebyshev import Basis, ChebSeries, chebpts_first, coeffs_from_values
 from .errors import ExchangeStalled
-from .funcrep import FuncRep, Residual
+from .funcrep import FuncRep, Residual, abs_integral
 from .newton import BestL1Result, best_l1
-from .proxy import _chebpts_first, _coeffs_from_values
 from .rootfind import roots_in_interval
 
 __all__ = [
@@ -71,8 +70,8 @@ def _bary_eval(t: np.ndarray, nodes: np.ndarray, vals: np.ndarray, w: np.ndarray
 
 
 def _series_from_bary(nodes, vals, w, n: int) -> ChebSeries:
-    pts = _chebpts_first(n + 1, -1.0, 1.0)
-    return ChebSeries(Basis.FIRST, _coeffs_from_values(_bary_eval(pts, nodes, vals, w)))
+    pts = chebpts_first(n + 1, -1.0, 1.0)
+    return ChebSeries(Basis.FIRST, coeffs_from_values(_bary_eval(pts, nodes, vals, w)))
 
 
 def _alternating_extrema(res: Residual, ref: np.ndarray):
@@ -358,13 +357,6 @@ class ConcentrationReport:
     centered_bound: float | None  # s n^(3/2) / (1 - zeta^2)^(1/4)
 
 
-def _abs_series_integral(p: ChebSeries, a: float, b: float) -> float:
-    """integral_a^b |p| by splitting [a, b] at the roots of p."""
-    rts = roots_in_interval(p, a, b) if a < b else np.empty(0)
-    bounds = np.unique(np.concatenate([[a], rts, [b]]))
-    return float(sum(abs(p.integrate(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])))
-
-
 def concentration_ratio(p: ChebSeries, intervals) -> ConcentrationReport:
     """How much of the mass of |p| sits inside the given disjoint intervals."""
     ivs = sorted((float(a), float(b)) for a, b in intervals)
@@ -374,8 +366,8 @@ def concentration_ratio(p: ChebSeries, intervals) -> ConcentrationReport:
     for (_, b0), (a1, _) in zip(ivs[:-1], ivs[1:]):
         if a1 < b0:
             raise ValueError("intervals must be disjoint")
-    total = _abs_series_integral(p, -1.0, 1.0)
-    mass = sum(_abs_series_integral(p, a, b) for a, b in ivs)
+    total = abs_integral(p, -1.0, 1.0)
+    mass = sum(abs_integral(p, a, b) for a, b in ivs)
     s = sum(b - a for a, b in ivs)
     n = p.trimmed_degree
     lemma = s * (n + 1) ** 2 / 2.0

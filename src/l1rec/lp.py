@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .chebyshev import Basis, ChebSeries, chebvander_second
-from .errors import CertificateUnavailable
+from .errors import CertificateUnavailable, SolverFailure
 
 __all__ = ["LpStatus", "LpSolution", "WeightedL1Fit", "solve", "dual_certificate"]
 
@@ -105,7 +105,7 @@ def solve(problem: WeightedL1Fit, gap_tol: float = 1e-10) -> LpSolution:
     if res.status == 2:
         raise RuntimeError("l1-fit LP reported infeasible: internal bug")
     if res.status in (3, 4):
-        raise RuntimeError(f"l1-fit LP failed: {res.message}")
+        raise SolverFailure(f"l1-fit LP failed: {res.message}")
     status = LpStatus.OPTIMAL if res.status == 0 else LpStatus.ITERATION_LIMIT
     x = res.x
     coeffs = x[: n + 1]

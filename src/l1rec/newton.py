@@ -18,7 +18,7 @@ objective-based step halving).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,10 +28,10 @@ from .chebyshev import (
     build_grid,
     chebvander_second,
     interpolate_on_grid,
-    tcheb_values,
+    secondkind_segment_integrals,
 )
 from .errors import StepFailure
-from .funcrep import FuncRep, Residual
+from .funcrep import FuncRep, Residual, segment_l1
 from .lp import WeightedL1Fit, solve
 from .recovery import default_grid_size, recover_l1
 
@@ -61,20 +61,13 @@ class Path(enum.Enum):
     NEWTON_STALLED = "newton_stalled"
 
 
-def _mu_from_segments(bounds: np.ndarray, signs: np.ndarray, n: int) -> np.ndarray:
-    """mu_j = sum_seg sign * (T_{j+1}(b) - T_{j+1}(a)) / (j+1), exactly."""
-    T = tcheb_values(n + 1, bounds)  # (n+2, K+2)
-    k = np.arange(1, n + 2)
-    anti = (T[1:, 1:] - T[1:, :-1]) / k[:, None]
-    return anti @ signs
-
-
 def compute_mu(c: ChebSeries, f: FuncRep, n: int | None = None) -> np.ndarray:
-    """Optimality integrals of the residual f - c for U_0..U_n."""
+    """Optimality integrals of the residual f - c for U_0..U_n: mu_j is the
+    sum over sign segments of sign * integral U_j, exactly."""
     n = c.degree if n is None else n
     res = Residual(f, c.to_basis(Basis.SECOND))
     bounds, signs = res.sign_segments()
-    return _mu_from_segments(bounds, signs, n)
+    return secondkind_segment_integrals(n, bounds) @ signs
 
 
 def near_best_factor(mu: np.ndarray, n: int) -> float | None:
@@ -90,7 +83,6 @@ class NewtonState:
     k: int
     coeffs: ChebSeries
     roots: np.ndarray  # sign-changing roots of the residual
-    all_roots: np.ndarray
     signs: np.ndarray  # one sign per segment between sign-changing roots
     eprime: np.ndarray  # residual derivative at the sign-changing roots
     mu: np.ndarray
@@ -100,7 +92,6 @@ class NewtonState:
     halvings: int = 0
     used_identity: bool = False
     regularized: bool = False
-    J: np.ndarray | None = field(default=None, repr=False)
 
 
 def make_state(f: FuncRep, c: ChebSeries, n: int | None = None, k: int = 0, **flags) -> NewtonState:
@@ -109,7 +100,7 @@ def make_state(f: FuncRep, c: ChebSeries, n: int | None = None, k: int = 0, **fl
     res = Residual(f, c)
     bounds, signs = res.sign_segments()
     roots = res.sign_change_roots
-    mu = _mu_from_segments(bounds, signs, n)
+    mu = secondkind_segment_integrals(n, bounds) @ signs
     eprime = res.derivative(roots) if roots.size else np.empty(0)
     # attainable-accuracy estimate: each root carries ~eps*scale/|e'| of
     # location noise, and dmu_j/dr = 2 U_j(r)
@@ -123,7 +114,6 @@ def make_state(f: FuncRep, c: ChebSeries, n: int | None = None, k: int = 0, **fl
         k=k,
         coeffs=c,
         roots=roots,
-        all_roots=res.roots,
         signs=signs,
         eprime=eprime,
         mu=mu,
@@ -281,7 +271,6 @@ def newton_step(state: NewtonState, f: FuncRep, objective_slack: float | None = 
             halvings=halving,
             used_identity=used_identity,
             regularized=regularized,
-            J=H,
         )
         if new.objective <= state.objective + objective_slack:
             return new
@@ -319,13 +308,11 @@ def best_l1(
         certified = _certified_interpolant(f, n)
         if certified is not None:
             p, bounds, signs = certified
-            mu = _mu_from_segments(bounds, signs, n)
-            objective = float(
-                sum(
-                    abs(f.integrate(a, b) - p.integrate(a, b))
-                    for a, b in zip(bounds[:-1], bounds[1:])
-                )
-            )
+            # one table serves mu and the integrals of p: at high degree it
+            # is the largest object of the shortcut
+            table = secondkind_segment_integrals(n, bounds)
+            mu = table @ signs
+            objective = segment_l1(f, bounds, p.coeffs @ table)
             return BestL1Result(
                 polynomial=p,
                 path=Path.INTERPOLANT_SHORTCUT,

@@ -14,9 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
-from .chebyshev import Basis, ChebSeries
+from .chebyshev import (
+    Basis,
+    ChebSeries,
+    chebpts_first,
+    coeffs_from_values,
+    secondkind_segment_integrals,
+)
 from .errors import NoConvergence
 
 __all__ = ["PiecewiseCheb", "Piece", "adaptive_proxy", "fit_on_interval"]
@@ -25,22 +30,7 @@ DEGREE_CAP = 2**16
 SPLIT_PIECE_DEGREE = 128
 MIN_PIECE_WIDTH = 1e-13
 MAX_PIECES = 2**12
-
-
-def _chebpts_first(m: int, a: float, b: float) -> np.ndarray:
-    """m Chebyshev points of the first kind mapped to [a, b], descending in
-    the canonical DCT ordering x_k = cos(pi (2k+1)/(2m))."""
-    k = np.arange(m)
-    t = np.cos(np.pi * (2 * k + 1) / (2 * m))
-    return 0.5 * (a + b) + 0.5 * (b - a) * t
-
-
-def _coeffs_from_values(vals: np.ndarray) -> np.ndarray:
-    """First-kind coefficients of the interpolant at first-kind points."""
-    m = len(vals)
-    a = scipy.fft.dct(vals, type=2) / m
-    a[0] /= 2.0
-    return a
+SPLIT_RATIO = 0.5000539266278566  # off-center bisection: dodges symmetric kinks and roots
 
 
 # Fixed off-grid checkpoints, used to reject aliased fits (e.g. T_50 sampled
@@ -101,9 +91,9 @@ def fit_on_interval(
     half_check = None
     while True:
         m = deg + 1
-        pts = _chebpts_first(m, a, b)
+        pts = chebpts_first(m, a, b)
         vals = np.asarray(evaluator(pts), dtype=float)
-        coeffs = _coeffs_from_values(vals)
+        coeffs = coeffs_from_values(vals)
         cmax = float(np.max(np.abs(coeffs)))
         cut = max(tol * cmax, abs_floor)
         tail = float(np.max(np.abs(coeffs[-3:])))
@@ -151,10 +141,6 @@ class Piece:
 
     def __call__(self, x):
         return self.series(self.local(x))
-
-    def integrate(self, a: float, b: float) -> float:
-        half = 0.5 * (self.b - self.a)
-        return half * self.series.integrate(self.local(a), self.local(b))
 
 
 class PiecewiseCheb:
@@ -207,12 +193,23 @@ class PiecewiseCheb:
     def integrate(self, a: float, b: float) -> float:
         if b < a:
             return -self.integrate(b, a)
-        total = 0.0
+        return float(self.segment_integrals([a, b])[0])
+
+    def segment_integrals(self, bounds) -> np.ndarray:
+        """Integrals over [bounds[i], bounds[i+1]] for ascending bounds. Each
+        piece adds the termwise segment integrals of its series over the
+        segments that overlap it, clipped to the piece."""
+        bounds = np.asarray(bounds, dtype=float)
+        out = np.zeros(len(bounds) - 1)
         for p in self.pieces:
-            lo, hi = max(a, p.a), min(b, p.b)
-            if hi > lo:
-                total += p.integrate(lo, hi)
-        return total
+            lo = max(int(np.searchsorted(bounds, p.a, side="right")) - 1, 0)
+            hi = min(int(np.searchsorted(bounds, p.b, side="left")), len(out))
+            if hi <= lo:
+                continue
+            local = p.local(np.clip(bounds[lo : hi + 1], p.a, p.b))
+            c = p.series.to_basis(Basis.SECOND).coeffs
+            out[lo:hi] += 0.5 * (p.b - p.a) * (c @ secondkind_segment_integrals(len(c) - 1, local))
+        return out
 
     def derivative(self) -> "PiecewiseCheb":
         out = []
@@ -244,8 +241,8 @@ def _split_fit(evaluator, a, b, tol, abs_floor, budget) -> list:
             f"piecewise fit used more than {MAX_PIECES} subintervals on [{a}, {b}]"
         )
     budget[0] -= 1
-    mid = a + (b - a) * 0.5000539266278566  # slightly off-center: dodges
-    left = _split_fit(evaluator, a, mid, tol, abs_floor, budget)  # symmetric kinks
+    mid = a + (b - a) * SPLIT_RATIO
+    left = _split_fit(evaluator, a, mid, tol, abs_floor, budget)
     right = _split_fit(evaluator, mid, b, tol, abs_floor, budget)
     return left + right
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .chebyshev import Basis, ChebSeries
 from .errors import SubdivisionLimit
-from .proxy import PiecewiseCheb, fit_on_interval
+from .proxy import SPLIT_RATIO, PiecewiseCheb, fit_on_interval
 
 __all__ = ["colleague_roots", "roots_in_interval", "sign_changing"]
 
@@ -22,7 +22,6 @@ MAX_SUBINTERVALS = 2**12
 MIN_WIDTH = 1e-12
 DEDUP_TOL = 1e-12
 RESID_TOL = 1e-11
-SPLIT_RATIO = 0.5000539266278566  # off-center split: dodges symmetric roots
 
 
 def colleague_roots(first_coeffs: np.ndarray) -> np.ndarray:

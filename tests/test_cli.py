@@ -80,6 +80,19 @@ class TestApprox:
         code = run(["approx", "--fn", "abs(x", "--degree", "2", "--no-timestamp"])
         assert code == 2
 
+    def test_solver_failure_exit3(self, capsys, monkeypatch):
+        from scipy.optimize import OptimizeResult
+
+        failed = OptimizeResult(status=4, message="HiGHS Status 0: Not Set", x=None)
+        monkeypatch.setattr("l1rec.lp.linprog", lambda *args, **kwargs: failed)
+        code, report = run_json(
+            ["approx", "--fn", "expsin10", "--degree", "4", "--no-timestamp"], capsys
+        )
+        assert code == 3
+        assert report["path"] == "SolverFailure"
+        assert "l1-fit LP failed" in report["error"]
+        assert report["input"] == {"fn": "expsin10", "degree": 4, "tol": 1e-14}
+
     def test_samples_file_rejected(self, capsys, tmp_path):
         path = tmp_path / "samples.csv"
         path.write_text("x,f\n0.0,1.0\n")
@@ -137,6 +150,27 @@ class TestRecover:
         assert code == 0
         assert report["sweep_found"] == 5
         assert [r["degree"] for r in report["runs"]] == [0, 1, 2, 3, 4, 5]
+
+
+class TestLocalize:
+    def test_failure_keeps_completed_runs(self, capsys, monkeypatch):
+        from l1rec import cli
+        from l1rec.errors import ExchangeStalled
+
+        real = cli.omega_measure
+
+        def measure(f, n):
+            if n == 3:
+                raise ExchangeStalled("stalled on purpose")
+            return real(f, n)
+
+        monkeypatch.setattr(cli, "omega_measure", measure)
+        code, report = run_json(
+            ["localize", "--fn", "absx", "--degrees", "2,3", "--no-timestamp"], capsys
+        )
+        assert code == 3
+        assert report["path"] == "ExchangeStalled"
+        assert [r["degree"] for r in report["runs"]] == [2]
 
 
 class TestDeterminism:

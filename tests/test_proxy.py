@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from l1rec.catalog import catalog_function
 from l1rec.chebyshev import Basis, ChebSeries
 from l1rec.errors import NoConvergence
 from l1rec.proxy import PiecewiseCheb, adaptive_proxy
@@ -71,6 +72,16 @@ class TestSplitting:
         x = np.linspace(-0.999999, 0.999999, 2001)
         assert np.max(np.abs(prox(x) - f(x))) <= 1e-11
         assert prox.integrate(-1.0, 1.0) == pytest.approx(np.pi / 2, rel=1e-10)
+
+    def test_segment_integrals_across_piece_edges(self):
+        prox = catalog_function("sqrt1mx2").proxy
+        assert len(prox.pieces) == 150
+        mids = 0.5 * (prox._edges[1:] + prox._edges[:-1])
+        bounds = np.unique(np.concatenate([mids, np.linspace(-1.0, 1.0, 41)]))
+        parts = prox.segment_integrals(bounds)
+        assert parts.sum() == pytest.approx(prox.integrate(-1.0, 1.0), rel=1e-15)
+        F = lambda x: 0.5 * (x * np.sqrt(1.0 - x * x) + np.arcsin(x))
+        assert np.max(np.abs(parts - np.diff(F(bounds)))) <= 1e-12
 
     def test_kink_without_hint(self):
         f = lambda x: np.abs(x - 0.25)
