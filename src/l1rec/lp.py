@@ -1,12 +1,18 @@
-"""Weighted l1 polynomial fitting as a sparse linear program.
+"""Weighted l1 polynomial fitting, solved as the dual linear program.
 
-minimize sum_i w_i (u_i + v_i)
-subject to -v_i <= f(y_i) - sum_j c_j U_j(y_i) <= u_i,  u_i, v_i >= 0.
+The fit min_c sum_i w_i |f(y_i) - sum_j c_j U_j(y_i)| is solved through its
+dual, the classical view of discrete l1 fitting (Barrodale & Roberts, SIAM J.
+Numer. Anal. 10, 1973):
 
-Solved with HiGHS through scipy.optimize.linprog; each constraint row touches
-one u_i (or v_i) and the n+1 coefficient columns, which the sparse blocks
-preserve. This LP is always feasible (u = max(r, 0), v = max(-r, 0) works for
-any c), so an infeasible status can only mean an internal bug and aborts.
+    maximize f^T z  subject to  Phi^T z = 0,  -w <= z <= w,   Phi_ij = U_j(y_i).
+
+It has n+1 equality rows and box-bounded z, where the primal has 2(N+1)
+inequality rows. HiGHS (through scipy.optimize.linprog, which minimizes
+-f^T z) returns the fit as the equality marginals, with the sign convention
+c = -res.eqlin.marginals (scipy 1.17.1). The optimum z = w sigma holds the
+subgradient sigma in [-1, 1] with sigma_i = sign(r_i) off the zero residuals
+r_i, which certifies c. The dual is always feasible (z = 0 works), so an
+infeasible status can only mean an internal bug and aborts.
 """
 
 from __future__ import annotations
@@ -15,13 +21,14 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .chebyshev import Basis, ChebSeries, chebvander_second
 from .errors import CertificateUnavailable, SolverFailure
 
 __all__ = ["LpStatus", "LpSolution", "WeightedL1Fit", "solve", "dual_certificate"]
+
+GAP_TOL = 1e-10  # HiGHS primal and dual feasibility tolerance
 
 
 class LpStatus(enum.Enum):
@@ -63,96 +70,58 @@ class WeightedL1Fit:
 @dataclass(frozen=True, eq=False)
 class LpSolution:
     coefficients: ChebSeries
-    u: np.ndarray
-    v: np.ndarray
+    sigma: np.ndarray  # z / w, the subgradient the dual optimum carries
     objective: float
     duality_gap: float
     status: LpStatus
 
 
-def solve(problem: WeightedL1Fit, gap_tol: float = 1e-10) -> LpSolution:
-    """Solve the weighted l1 fit to certified optimality.
+def solve(problem: WeightedL1Fit) -> LpSolution:
+    """Solve the weighted l1 fit through its dual LP.
 
-    gap_tol is relative to the objective scale; at OPTIMAL status the primal-
-    dual gap reported by HiGHS multipliers is below gap_tol * scale.
+    objective is sum(w |f - Phi c|) and duality_gap is |objective - f^T z|,
+    inf unless the status is OPTIMAL.
     """
-    if gap_tol <= 0:
-        raise ValueError("gap_tol must be positive")
-    n = problem.degree
-    N1 = len(problem.points)
-    Phi = chebvander_second(problem.points, n)
-    eye = sp.identity(N1, format="csc")
-    A_ub = sp.bmat(
-        [[-sp.csc_matrix(Phi), -eye, None], [sp.csc_matrix(Phi), None, -eye]],
-        format="csc",
-    )
-    b_ub = np.concatenate([-problem.values, problem.values])
-    cost = np.concatenate([np.zeros(n + 1), problem.weights, problem.weights])
-    bounds = [(None, None)] * (n + 1) + [(0, None)] * (2 * N1)
-    feas = max(min(1e-9, gap_tol), 1e-11)
+    Phi = chebvander_second(problem.points, problem.degree)
+    w, f = problem.weights, problem.values
     res = linprog(
-        cost,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        bounds=bounds,
+        -f,
+        A_eq=Phi.T,
+        b_eq=np.zeros(problem.degree + 1),
+        bounds=np.column_stack([-w, w]),
         method="highs",
         options={
             "presolve": True,
-            "primal_feasibility_tolerance": feas,
-            "dual_feasibility_tolerance": feas,
+            "primal_feasibility_tolerance": GAP_TOL,
+            "dual_feasibility_tolerance": GAP_TOL,
         },
     )
     if res.status == 2:
         raise RuntimeError("l1-fit LP reported infeasible: internal bug")
     if res.status in (3, 4):
         raise SolverFailure(f"l1-fit LP failed: {res.message}")
-    status = LpStatus.OPTIMAL if res.status == 0 else LpStatus.ITERATION_LIMIT
-    x = res.x
-    coeffs = x[: n + 1]
-    u = x[n + 1 : n + 1 + N1]
-    v = x[n + 1 + N1 :]
-    objective = float(np.dot(problem.weights, u + v))
-    if res.status == 0:
-        dual_obj = float(b_ub @ res.ineqlin.marginals)
-        gap = abs(res.fun - dual_obj)
-    else:
-        gap = np.inf
+    optimal = res.status == 0
+    coeffs = -res.eqlin.marginals
+    objective = float(np.dot(w, np.abs(f - Phi @ coeffs)))
     return LpSolution(
         coefficients=ChebSeries(Basis.SECOND, coeffs),
-        u=u,
-        v=v,
+        sigma=np.clip(res.x / w, -1.0, 1.0),
         objective=objective,
-        duality_gap=gap,
-        status=status,
+        duality_gap=abs(objective - float(f @ res.x)) if optimal else np.inf,
+        status=LpStatus.OPTIMAL if optimal else LpStatus.ITERATION_LIMIT,
     )
 
 
 def dual_certificate(solution: LpSolution, problem: WeightedL1Fit) -> float:
-    """max_j |sum_i w_i sigma_i U_j(y_i)| minimized over admissible subgradients.
+    """max_j |sum_i w_i sigma_i U_j(y_i)| for an admissible subgradient sigma.
 
-    sigma_i = sign(residual_i) where the residual is nonzero; at zero
-    residuals sigma_i ranges over [-1, 1] and is chosen (by a small auxiliary
-    LP) to minimize the certificate. At a true optimum the result is
-    <= 1e-8 * sum(w).
+    sigma_i = sign(residual_i) where |residual_i| > 1e-9 * scale; at the zero
+    residuals sigma_i is the one the dual optimum carries. At a true optimum
+    the result is <= 1e-8 * sum(w).
     """
     if solution.status is not LpStatus.OPTIMAL:
         raise CertificateUnavailable(f"status is {solution.status.value}")
-    n = problem.degree
-    r = problem.values - solution.coefficients(problem.points)
-    ztol = 1e-9 * problem.scale
-    zero = np.abs(r) <= ztol
-    U = chebvander_second(problem.points, n)  # (N+1, n+1)
-    g = (problem.weights * np.where(zero, 0.0, np.sign(r))) @ U
-    if not np.any(zero):
-        return float(np.max(np.abs(g)))
-    # minimize t s.t. -t <= g_j + sum_z w_z U_j(y_z) s_z <= t, -1 <= s <= 1
-    B = (problem.weights[zero, None] * U[zero, :]).T  # (n+1, Z)
-    Z = B.shape[1]
-    cost = np.concatenate([np.zeros(Z), [1.0]])
-    A = np.block([[B, -np.ones((n + 1, 1))], [-B, -np.ones((n + 1, 1))]])
-    b = np.concatenate([-g, g])
-    bounds = [(-1.0, 1.0)] * Z + [(0.0, None)]
-    res = linprog(cost, A_ub=A, b_ub=b, bounds=bounds, method="highs")
-    if res.status != 0:
-        return float(np.max(np.abs(g)))  # conservative fallback
-    return float(res.x[-1])
+    Phi = chebvander_second(problem.points, problem.degree)
+    r = problem.values - Phi @ solution.coefficients.coeffs
+    sigma = np.where(np.abs(r) > 1e-9 * problem.scale, np.sign(r), solution.sigma)
+    return float(np.max(np.abs((problem.weights * sigma) @ Phi)))

@@ -1,9 +1,9 @@
 """Best L1 polynomial approximation on [-1, 1].
 
 Pipeline: try the grid interpolant (optimal exactly when its residual
-changes sign at all the interpolation nodes); otherwise solve a large
-weighted-l1 LP for an initial guess, exit early if the samples reveal a
-corrupted polynomial, refine the LP mesh around the residual roots, and
+vanishes or changes sign at all the interpolation nodes); otherwise solve a
+large weighted-l1 LP for an initial guess, exit early if the samples reveal
+a corrupted polynomial, refine the LP mesh around the residual roots, and
 finish with Newton's method on the sign-integral optimality system
 
     mu_j(c) = integral sign(f - sum c_t U_t) U_j = 0,  j = 0..n.
@@ -154,7 +154,8 @@ def _gap_signs(res: Residual, nodes: np.ndarray):
 
 def _certified_interpolant(f: FuncRep, n: int):
     """(polynomial, gap bounds, gap signs) when a grid interpolant is
-    certified optimal by its sign pattern, else None.
+    certified optimal by its sign pattern, (polynomial, None, None) when its
+    residual is numerically zero (f is a degree <= n polynomial), else None.
 
     Phase 1: the n+1-node interpolant is optimal iff its residual changes
     sign at every node and nowhere else. Phase 2 (symmetric cases): when the
@@ -165,7 +166,7 @@ def _certified_interpolant(f: FuncRep, n: int):
     p = interpolate_on_grid(f.eval, n)
     res = Residual(f, p)
     if res.negligible:
-        return None  # f is already a degree <= n polynomial: LP path returns it
+        return p, None, None
     out = _gap_signs(res, build_grid(n).points)
     if out is not None and _alternating(out[1]):
         return p, out[0], out[1]
@@ -187,7 +188,7 @@ def _alternating(signs: np.ndarray) -> bool:
 def trial_interpolant(f: FuncRep, n: int) -> ChebSeries | None:
     """Grid interpolant, returned iff certified optimal by its sign pattern."""
     out = _certified_interpolant(f, n)
-    return None if out is None else out[0]
+    return None if out is None or out[1] is None else out[0]
 
 
 def lp_initialize(f: FuncRep, n: int, N: int | None = None) -> ChebSeries:
@@ -308,6 +309,15 @@ def best_l1(
         certified = _certified_interpolant(f, n)
         if certified is not None:
             p, bounds, signs = certified
+            if bounds is None:
+                return BestL1Result(
+                    polynomial=p,
+                    path=Path.INTERPOLANT_SHORTCUT,
+                    trace=[(0, 0.0, 0.0)],
+                    near_best_factor=1.0,
+                    l1_error=0.0,
+                    mu=np.zeros(n + 1),
+                )
             # one table serves mu and the integrals of p: at high degree it
             # is the largest object of the shortcut
             table = secondkind_segment_integrals(n, bounds)

@@ -93,6 +93,15 @@ class TestApprox:
         assert "l1-fit LP failed" in report["error"]
         assert report["input"] == {"fn": "expsin10", "degree": 4, "tol": 1e-14}
 
+    def test_offcenter_kink_degree12(self, capsys):
+        # a refined-mesh LP on which HiGHS can stop with "Status 0: Not Set"
+        # at the 1e-10 feasibility tolerance
+        code, report = run_json(
+            ["approx", "--fn", "abs(x-0.3)", "--degree", "12", "--no-timestamp"], capsys
+        )
+        assert code == 0
+        assert report["path"] == "newton_converged"
+
     def test_samples_file_rejected(self, capsys, tmp_path):
         path = tmp_path / "samples.csv"
         path.write_text("x,f\n0.0,1.0\n")

@@ -59,15 +59,12 @@ class TestSolve:
             assert sol.status is LpStatus.OPTIMAL
             scale = prob.scale
             r = prob.values - sol.coefficients(prob.points)
-            eps = 1e-9 * scale
-            assert np.all(sol.u >= -1e-10)
-            assert np.all(sol.v >= -1e-10)
-            assert np.all(r <= sol.u + eps)
-            assert np.all(-sol.v - eps <= r)
+            off = np.abs(r) > 1e-9 * scale
             assert sol.objective == pytest.approx(
-                float(np.dot(prob.weights, sol.u + sol.v)), rel=1e-12
+                float(np.dot(prob.weights, np.abs(r))), rel=1e-12
             )
-            assert np.max(sol.u * sol.v) <= 1e-9 * scale
+            assert np.all(np.abs(sol.sigma) <= 1.0)
+            assert np.array_equal(sol.sigma[off], np.sign(r[off]))
             assert sol.duality_gap <= 1e-8 * max(sol.objective, scale)
 
     def test_validation(self):

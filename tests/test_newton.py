@@ -253,8 +253,10 @@ class TestBestL1:
     def test_exact_polynomial_short_path(self):
         p = u_series([0.1, 0.2, 0.3])
         out = best_l1(FuncRep(p, name="poly"), 4)
-        assert out.path is Path.CORRUPTED_POLYNOMIAL
-        assert out.report.k == 0
+        assert out.path is Path.INTERPOLANT_SHORTCUT
+        assert out.l1_error == 0.0
+        assert out.near_best_factor == 1.0
+        assert np.array_equal(out.mu, np.zeros(5))
         pad = np.zeros(5)
         pad[:3] = [0.1, 0.2, 0.3]
         assert out.polynomial.coeffs == pytest.approx(pad, abs=1e-10)

@@ -255,3 +255,42 @@ class TestL1EqualsL0Property:
             assert rep.exact
             assert rep.recovered.coeffs == pytest.approx(pad, abs=1e-9)
             assert oracle.polynomial.coeffs == pytest.approx(pad, abs=1e-9)
+
+
+def criterion3_draw(rng, points):
+    """One draw of the criterion-3 generator: a random polynomial of degree
+    n <= 10, corrupted on 1-3 intervals of total measure 0.9/(n+1)^2 by
+    values 1 to 1e3 times its sup norm. Returns (n, coeffs, samples, k)."""
+    n = int(rng.integers(0, 11))
+    coeffs = rng.standard_normal(n + 1)
+    p = u_series(coeffs)
+    sup_p = float(np.max(np.abs(p(np.linspace(-1, 1, 2001)))))
+    s = 0.9 / (n + 1) ** 2
+    pieces = int(rng.integers(1, 4))
+    parts = rng.dirichlet(np.ones(pieces)) * s
+    starts = np.sort(rng.uniform(-1.0, 1.0 - s, pieces))
+    samples = p(points)
+    inside = np.zeros(len(points), dtype=bool)
+    cursor = -1.0
+    for start, width in zip(starts, parts):
+        lo = max(start, cursor + 1e-6)
+        inside |= (points >= lo) & (points <= lo + width)
+        cursor = lo + width
+    k = int(inside.sum())
+    samples[inside] += rng.uniform(1.0, 1e3, k) * rng.choice([-1, 1], k) * sup_p
+    return n, coeffs, samples, k
+
+
+class TestRandomCorruptedPolynomials:
+    def test_criterion3_stream2_draw40(self):
+        # a degenerate LP on which HiGHS can stop after 0 iterations with
+        # "Status 0: Not Set" at the 1e-10 feasibility tolerance
+        rng = np.random.default_rng(2)
+        points = build_grid(4999).points
+        for _ in range(40):
+            n, coeffs, samples, k = criterion3_draw(rng, points)
+        assert (n, k) == (10, 14)
+        rep = recover_l1(samples, n, N=4999)
+        assert rep.exact
+        assert rep.k == k
+        assert rep.recovered.coeffs == pytest.approx(coeffs, abs=1e-9 * np.max(np.abs(coeffs)))
