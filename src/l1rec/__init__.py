@@ -7,7 +7,6 @@ from its submodule (l1rec.chebyshev, l1rec.funcrep, l1rec.recovery, ...).
 
 from .chebyshev import Basis, ChebSeries
 from .errors import (
-    CertificateUnavailable,
     DomainError,
     ExchangeStalled,
     L1RecError,
@@ -35,7 +34,6 @@ __all__ = [
     "norm",
     "omega_measure",
     "recover_l1",
-    "CertificateUnavailable",
     "DomainError",
     "ExchangeStalled",
     "L1RecError",

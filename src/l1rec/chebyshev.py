@@ -25,7 +25,6 @@ __all__ = [
     "coeffs_from_values",
     "differentiate",
     "first_to_second",
-    "integral_secondkind_segment",
     "interpolate_on_grid",
     "second_to_first",
     "secondkind_segment_integrals",
@@ -273,15 +272,14 @@ def interpolate_on_grid(f, n: int) -> ChebSeries:
     sum_l U_i(x_l) U_j(x_l) (1 - x_l^2) = (n+2)/2 * delta_ij,
     so c_j = 2/(n+2) * sum_l sin(theta_l) sin((j+1) theta_l) f(x_l). With
     theta_l = (n+1-l) pi/(n+2) that sum is a DST-I of the reversed
-    sin(theta_l) f(x_l). Returns a second-kind series.
+    sin(theta_l) f(x_l). f is a vectorized evaluator, or has one as f.eval.
+    Returns a second-kind series.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
     grid = build_grid(n)
     evaluate = getattr(f, "eval", f)
     vals = np.asarray(evaluate(grid.points), dtype=float)
-    if vals.shape != grid.points.shape:
-        vals = np.array([float(evaluate(x)) for x in grid.points])
     c = scipy.fft.dst((grid.sines * vals)[::-1], type=1) / (n + 2)
     return ChebSeries(Basis.SECOND, c)
 
@@ -296,10 +294,3 @@ def differentiate(series: ChebSeries) -> ChebSeries:
         return ChebSeries(Basis.SECOND, np.zeros(1))
     d = a[1:] * np.arange(1, len(a))
     return ChebSeries(Basis.SECOND, d)
-
-
-def integral_secondkind_segment(j: int, a: float, b: float) -> float:
-    """integral_a^b U_j(x) dx = (T_{j+1}(b) - T_{j+1}(a)) / (j+1), exactly."""
-    if j < 0:
-        raise ValueError("j must be >= 0")
-    return float(secondkind_segment_integrals(j, [a, b])[j, 0])

@@ -193,6 +193,9 @@ def _cmd_approx(args) -> int:
     report["optimality"] = None if out.mu is None else float(np.max(np.abs(out.mu)))
     report["trace"] = _trace_json(out.trace)
     report["coefficients"] = [float(c) for c in out.polynomial.to_basis(Basis.SECOND).coeffs]
+    if out.path is Path.CORRUPTED_POLYNOMIAL:
+        report["exact"] = out.report.exact
+        report["k"] = out.report.k
     if out.path is Path.NEWTON_STALLED:
         code = 3
     if args.errdata:
@@ -232,6 +235,7 @@ def _cmd_recover(args) -> int:
         rep = recover_l1(source, args.degree, N=N)
     report["exact"] = rep.exact
     report["k"] = rep.k
+    report["duality_gap"] = rep.duality_gap
     report["l1_error"] = float(np.dot(rep.grid.weights, np.abs(rep.residuals)))
     report["linf_error"] = float(np.max(np.abs(rep.residuals)))
     report["corrupted_indices"] = [int(i) for i in rep.corrupted_indices[:1000]]

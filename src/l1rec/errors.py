@@ -6,7 +6,7 @@ class L1RecError(Exception):
 
 
 class NoConvergence(L1RecError):
-    """Adaptive fitting hit its degree cap without coefficient tail decay."""
+    """Adaptive fitting used up its piece budget without resolving."""
 
 
 class SubdivisionLimit(L1RecError):
@@ -37,10 +37,6 @@ class ParseError(L1RecError):
         self.position = position
 
 
-class CertificateUnavailable(L1RecError):
-    """A dual certificate was requested for a non-optimal LP solution."""
-
-
 class StepFailure(L1RecError):
     """Newton step halving was exhausted without an acceptable step."""
 
@@ -50,4 +46,4 @@ class ExchangeStalled(L1RecError):
 
 
 class SolverFailure(L1RecError, RuntimeError):
-    """The LP solver stopped without an optimal or iteration-limited answer."""
+    """The LP solver stopped without an optimal answer."""

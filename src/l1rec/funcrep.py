@@ -22,10 +22,19 @@ from .chebyshev import (
     coeffs_from_values,
     secondkind_segment_integrals,
 )
+from .errors import DomainError
 from .proxy import PiecewiseCheb, Piece, adaptive_proxy
 from .rootfind import roots_in_interval, sign_changing
 
-__all__ = ["Corruption", "FuncRep", "Residual", "abs_integral", "norm", "segment_l1"]
+__all__ = [
+    "Corruption",
+    "FuncRep",
+    "Residual",
+    "abs_integral",
+    "disjoint_intervals",
+    "norm",
+    "segment_l1",
+]
 
 _SUP_POINTS = np.cos(np.linspace(0.0, np.pi, 2049))
 
@@ -38,16 +47,39 @@ def _sup_abs(fn, breakpoints) -> float:
     return float(np.max(np.abs(fn(x))))
 
 
-def _vectorized(fn):
-    """Wrap a scalar-or-vector callable so it always maps arrays to arrays."""
-    probe = np.array([-0.5, 0.25])
-    try:
-        out = np.asarray(fn(probe), dtype=float)
-        if out.shape == probe.shape:
-            return lambda x: np.asarray(fn(np.asarray(x, dtype=float)), dtype=float)
-    except Exception:
-        pass
-    return lambda x: np.array([float(fn(t)) for t in np.atleast_1d(x)])
+def _checked(fn):
+    """fn as FuncRep calls it: a float array in, a float array of the same
+    shape out, every value finite. Anything else raises DomainError."""
+
+    def evaluate(x):
+        x = np.asarray(x, dtype=float)
+        try:
+            out = np.asarray(fn(x), dtype=float)
+        except (TypeError, ValueError) as exc:  # e.g. math.sin(x) or `if x > 0`
+            raise DomainError(f"evaluator must be vectorized: {exc}") from exc
+        if out.shape != x.shape:
+            raise DomainError(
+                f"evaluator must be vectorized: shape {out.shape} returned for input shape {x.shape}"
+            )
+        bad = ~np.isfinite(out)
+        if bad.any():
+            raise DomainError(f"evaluator returned {out[bad][0]} at x = {x[bad][0]!r}")
+        return out
+
+    return evaluate
+
+
+def disjoint_intervals(intervals) -> tuple:
+    """The intervals as sorted (a, b) float pairs; ValueError unless each
+    lies in [-1, 1] and no two overlap."""
+    ivs = tuple(sorted((float(a), float(b)) for a, b in intervals))
+    for a, b in ivs:
+        if not (-1.0 <= a <= b <= 1.0):
+            raise ValueError("intervals must lie in [-1, 1]")
+    for (_, b0), (a1, _) in zip(ivs[:-1], ivs[1:]):
+        if a1 < b0:
+            raise ValueError("intervals must be disjoint")
+    return ivs
 
 
 @dataclass(frozen=True)
@@ -58,14 +90,7 @@ class Corruption:
     clean: object = None  # callable or ChebSeries for the uncorrupted f0
 
     def __post_init__(self):
-        ivs = tuple((float(a), float(b)) for a, b in self.intervals)
-        for (a, b) in ivs:
-            if not (-1.0 <= a <= b <= 1.0):
-                raise ValueError("corruption intervals must lie in [-1, 1]")
-        for (_, b0), (a1, _) in zip(ivs[:-1], ivs[1:]):
-            if a1 < b0:
-                raise ValueError("corruption intervals must be disjoint")
-        object.__setattr__(self, "intervals", ivs)
+        object.__setattr__(self, "intervals", disjoint_intervals(self.intervals))
 
     @property
     def measure(self) -> float:
@@ -95,7 +120,7 @@ class FuncRep:
         corruption: Corruption | None = None,
         name: str = "f",
     ):
-        self.eval = _vectorized(evaluator)
+        self.eval = _checked(evaluator)
         bps = sorted(float(t) for t in breakpoints if -1.0 < t < 1.0)
         if corruption is not None:
             for a, b in corruption.intervals:
@@ -117,16 +142,12 @@ class FuncRep:
 
     @cached_property
     def proxy(self) -> PiecewiseCheb:
-        prox = adaptive_proxy(
+        return adaptive_proxy(
             self.eval,
             self.proxy_tol,
             breakpoints=self.breakpoints,
-            split=True,
             abs_floor=4e-16 * self.value_scale,
         )
-        if not isinstance(prox, PiecewiseCheb):
-            prox = PiecewiseCheb([Piece(-1.0, 1.0, prox, True)])
-        return prox
 
     @cached_property
     def _proxy_derivative(self) -> PiecewiseCheb:

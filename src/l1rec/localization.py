@@ -16,7 +16,7 @@ import numpy as np
 
 from .chebyshev import Basis, ChebSeries, chebpts_first, coeffs_from_values
 from .errors import ExchangeStalled
-from .funcrep import FuncRep, Residual, abs_integral
+from .funcrep import FuncRep, Residual, abs_integral, disjoint_intervals
 from .newton import BestL1Result, best_l1
 from .rootfind import roots_in_interval
 
@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 ABS_BERNSTEIN_BETA = 0.28017  # midpoint of the 0.28016..0.28018 bracket
+MAX_EXCHANGES = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,11 +134,11 @@ class _DegenerateLevel(Exception):
     reference)."""
 
 
-def _remez(f: FuncRep, n: int, tol: float, max_iter: int):
+def _remez(f: FuncRep, n: int, tol: float):
     m = n + 2
     ref = np.cos(np.pi * np.arange(m - 1, -1, -1) / (m - 1))
     sigma = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_EXCHANGES + 1):
         w = _bary_weights(ref)
         fx = f.eval(ref)
         h = float(np.dot(w, fx)) / float(np.dot(w, sigma))
@@ -164,10 +165,10 @@ def _remez(f: FuncRep, n: int, tol: float, max_iter: int):
             ex, ev = ex[pick[0] : pick[1]], ev[pick[0] : pick[1]]
         ref = ex
         sigma = np.sign(ev)
-    raise ExchangeStalled(f"no convergence in {max_iter} exchanges")
+    raise ExchangeStalled(f"no convergence in {MAX_EXCHANGES} exchanges")
 
 
-def minimax(f: FuncRep, n: int, tol: float = 1e-9, max_iter: int = 100) -> MinimaxResult:
+def minimax(f: FuncRep, n: int, tol: float = 1e-9) -> MinimaxResult:
     """Remez exchange for the degree <= n minimax approximant.
 
     The returned error is certified within tol relatively: the reference
@@ -178,10 +179,10 @@ def minimax(f: FuncRep, n: int, tol: float = 1e-9, max_iter: int = 100) -> Minim
     best polynomial is the same, and truncates the zero leading coefficient.
     """
     try:
-        p, err, ref, it = _remez(f, n, tol, max_iter)
+        p, err, ref, it = _remez(f, n, tol)
         return MinimaxResult(p, err, ref, it)
     except _DegenerateLevel:
-        p, err, ref, it = _remez(f, n + 1, tol, max_iter)
+        p, err, ref, it = _remez(f, n + 1, tol)
         first = p.to_basis(Basis.FIRST)
         if abs(first.coeffs[-1]) > 1e-10 * max(first.coeff_max, 1e-300):
             raise ExchangeStalled(
@@ -359,13 +360,7 @@ class ConcentrationReport:
 
 def concentration_ratio(p: ChebSeries, intervals) -> ConcentrationReport:
     """How much of the mass of |p| sits inside the given disjoint intervals."""
-    ivs = sorted((float(a), float(b)) for a, b in intervals)
-    for (a, b) in ivs:
-        if not (-1.0 <= a <= b <= 1.0):
-            raise ValueError("intervals must lie inside [-1, 1]")
-    for (_, b0), (a1, _) in zip(ivs[:-1], ivs[1:]):
-        if a1 < b0:
-            raise ValueError("intervals must be disjoint")
+    ivs = disjoint_intervals(intervals)
     total = abs_integral(p, -1.0, 1.0)
     mass = sum(abs_integral(p, a, b) for a, b in ivs)
     s = sum(b - a for a, b in ivs)

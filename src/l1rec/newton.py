@@ -33,16 +33,13 @@ from .chebyshev import (
 from .errors import StepFailure
 from .funcrep import FuncRep, Residual, segment_l1
 from .lp import WeightedL1Fit, solve
-from .recovery import default_grid_size, recover_l1
+from .recovery import recover_l1
 
 __all__ = [
     "Path",
     "NewtonState",
     "BestL1Result",
-    "trial_interpolant",
-    "lp_initialize",
     "refine_mesh",
-    "compute_mu",
     "make_state",
     "newton_step",
     "near_best_factor",
@@ -52,6 +49,7 @@ __all__ = [
 EPRIME_TINY = 1e-13
 COND_LIMIT = 1e14
 MAX_HALVINGS = 30
+MAX_NEWTON_STEPS = 50
 
 
 class Path(enum.Enum):
@@ -59,15 +57,6 @@ class Path(enum.Enum):
     CORRUPTED_POLYNOMIAL = "corrupted_polynomial"
     NEWTON_CONVERGED = "newton_converged"
     NEWTON_STALLED = "newton_stalled"
-
-
-def compute_mu(c: ChebSeries, f: FuncRep, n: int | None = None) -> np.ndarray:
-    """Optimality integrals of the residual f - c for U_0..U_n: mu_j is the
-    sum over sign segments of sign * integral U_j, exactly."""
-    n = c.degree if n is None else n
-    res = Residual(f, c.to_basis(Basis.SECOND))
-    bounds, signs = res.sign_segments()
-    return secondkind_segment_integrals(n, bounds) @ signs
 
 
 def near_best_factor(mu: np.ndarray, n: int) -> float | None:
@@ -95,6 +84,9 @@ class NewtonState:
 
 
 def make_state(f: FuncRep, c: ChebSeries, n: int | None = None, k: int = 0, **flags) -> NewtonState:
+    """Newton state at c. mu holds the optimality integrals of the residual
+    f - c for U_0..U_n: the sum over sign segments of sign * integral U_j,
+    exactly."""
     n = c.degree if n is None else n
     c = c.to_basis(Basis.SECOND)
     res = Residual(f, c)
@@ -183,20 +175,6 @@ def _certified_interpolant(f: FuncRep, n: int):
 
 def _alternating(signs: np.ndarray) -> bool:
     return bool(np.all(signs[:-1] * signs[1:] < 0))
-
-
-def trial_interpolant(f: FuncRep, n: int) -> ChebSeries | None:
-    """Grid interpolant, returned iff certified optimal by its sign pattern."""
-    out = _certified_interpolant(f, n)
-    return None if out is None or out[1] is None else out[0]
-
-
-def lp_initialize(f: FuncRep, n: int, N: int | None = None) -> ChebSeries:
-    """Weighted l1 fit on the size-N grid, N+1 = max(1000 + 50n, 5000)."""
-    N = default_grid_size(n) if N is None else N
-    grid = build_grid(N)
-    prob = WeightedL1Fit(grid.points, grid.weights, f.eval(grid.points), n)
-    return solve(prob).coefficients
 
 
 def refine_mesh(roots, N: int):
@@ -297,10 +275,7 @@ def best_l1(
     n: int,
     *,
     tol: float = 1e-14,
-    max_iter: int = 50,
     force_newton: bool = False,
-    refine: bool = True,
-    N: int | None = None,
 ) -> BestL1Result:
     """Full best-L1 driver; see the module docstring for the pipeline."""
     if n < 0:
@@ -332,8 +307,7 @@ def best_l1(
                 mu=mu,
             )
 
-    N = default_grid_size(n) if N is None else N
-    rep = recover_l1(f, n, N=N)
+    rep = recover_l1(f, n)
     if rep.exact and not force_newton:
         err = Residual(f, rep.recovered).l1()
         return BestL1Result(
@@ -345,13 +319,8 @@ def best_l1(
             mu=None,
             report=rep,
         )
-    p0 = rep.recovered
-
-    if refine:
-        roots0 = Residual(f, p0).roots
-        pts, wts = refine_mesh(roots0, N)
-        prob = WeightedL1Fit(pts, wts, f.eval(pts), n)
-        p0 = solve(prob).coefficients
+    pts, wts = refine_mesh(Residual(f, rep.recovered).roots, rep.grid.size)
+    p0 = solve(WeightedL1Fit(pts, wts, f.eval(pts), n)).coefficients
 
     f_l1 = f.l1_norm
     state = make_state(f, p0, n=n)
@@ -362,7 +331,7 @@ def best_l1(
     tol_abs = max(tol * f_l1, proxy_term, 4.0 * state.mu_noise)
     slack = 1e-14 * f_l1
     trace = [(0, state.objective, state.optimality)]
-    while state.optimality >= tol_abs and state.k < max_iter:
+    while state.optimality >= tol_abs and state.k < MAX_NEWTON_STEPS:
         state = newton_step(state, f, objective_slack=slack)
         trace.append((state.k, state.objective, state.optimality))
         tol_abs = max(tol_abs, 4.0 * state.mu_noise)

@@ -1,12 +1,12 @@
 """Adaptive Chebyshev proxies for black-box evaluators on [-1, 1].
 
-A proxy is a ChebSeries whose trailing-coefficient envelope sits below
-tol * max|coeff|, found by doubling the degree until the last three
-coefficients pass that test. With breakpoint hints (or with splitting
-enabled) the result is a PiecewiseCheb, one series per subinterval;
-subintervals that refuse to resolve are bisected down to a minimum width
-and then kept as unresolved slivers whose contribution to any integral is
-bounded by their width.
+A proxy is a PiecewiseCheb: one Chebyshev series per subinterval, each with
+its trailing-coefficient envelope below tol * max|coeff|, found by doubling
+the degree until the last three coefficients pass that test. Breakpoint
+hints fix the first subintervals; a subinterval that does not resolve by
+degree 128 is bisected, down to a minimum width, and then kept as an
+unresolved sliver whose contribution to any integral is bounded by its
+width.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .errors import NoConvergence
 
 __all__ = ["PiecewiseCheb", "Piece", "adaptive_proxy", "fit_on_interval"]
 
-DEGREE_CAP = 2**16
 SPLIT_PIECE_DEGREE = 128
 MIN_PIECE_WIDTH = 1e-13
 MAX_PIECES = 2**12
@@ -52,9 +51,8 @@ def fit_on_interval(
     b: float,
     tol: float,
     *,
+    max_degree: int,
     abs_floor: float = 0.0,
-    max_degree: int = DEGREE_CAP,
-    start_degree: int = 16,
     allow_plateau: bool = False,
     plateau_rel: float = 0.0,
 ):
@@ -77,7 +75,7 @@ def fit_on_interval(
     representation cannot hide a sign change, and roots are re-polished on
     the raw evaluator afterwards.
     """
-    deg = min(start_degree, max_degree)
+    deg = min(16, max_degree)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     check_x = mid + half * _CHECKPOINTS
     check_f = None
@@ -247,47 +245,19 @@ def _split_fit(evaluator, a, b, tol, abs_floor, budget) -> list:
     return left + right
 
 
-def adaptive_proxy(
-    evaluator,
-    tol: float,
-    *,
-    breakpoints=(),
-    split: bool = False,
-    abs_floor: float = 0.0,
-    max_degree: int = DEGREE_CAP,
-):
-    """Adaptive Chebyshev representation of evaluator on [-1, 1].
+def adaptive_proxy(evaluator, tol: float, *, breakpoints=(), abs_floor: float = 0.0) -> PiecewiseCheb:
+    """Adaptive piecewise Chebyshev representation of evaluator on [-1, 1].
 
-    Without breakpoints and without splitting, returns a single ChebSeries or
-    raises NoConvergence at the degree cap. With breakpoints, fits one series
-    per subinterval (a PiecewiseCheb). With split=True, subintervals that do
-    not resolve by degree 128 are bisected recursively instead of raising.
+    Fits one series per subinterval between the breakpoints; a subinterval
+    that does not resolve by degree 128 is bisected recursively, within a
+    budget of MAX_PIECES bisections.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must be in (0, 1)")
     bps = sorted(float(t) for t in breakpoints if -1.0 < t < 1.0)
-    if not bps and not split:
-        series, ok = fit_on_interval(
-            evaluator, -1.0, 1.0, tol, abs_floor=abs_floor, max_degree=max_degree
-        )
-        if not ok:
-            raise NoConvergence(
-                f"no coefficient tail decay by degree {max_degree}"
-            )
-        return series
     edges = [-1.0] + bps + [1.0]
     pieces = []
     budget = [MAX_PIECES]
     for lo, hi in zip(edges[:-1], edges[1:]):
-        if split:
-            pieces.extend(_split_fit(evaluator, lo, hi, tol, abs_floor, budget))
-        else:
-            series, ok = fit_on_interval(
-                evaluator, lo, hi, tol, abs_floor=abs_floor, max_degree=max_degree
-            )
-            if not ok:
-                raise NoConvergence(
-                    f"no coefficient tail decay by degree {max_degree} on [{lo}, {hi}]"
-                )
-            pieces.append(Piece(lo, hi, series, True))
+        pieces.extend(_split_fit(evaluator, lo, hi, tol, abs_floor, budget))
     return PiecewiseCheb(pieces)

@@ -20,7 +20,6 @@ from .funcrep import FuncRep
 from .lp import WeightedL1Fit, solve
 
 __all__ = [
-    "NullBasis",
     "RipBound",
     "RecoveryCertificate",
     "RecoveryReport",
@@ -47,20 +46,12 @@ def default_grid_size(n: int) -> int:
     return max(1000 + 50 * n, 5000) - 1
 
 
-@dataclass(frozen=True, eq=False)
-class NullBasis:
+def null_space_basis(N: int, n: int) -> np.ndarray:
     """Orthonormal basis V of the left null space of the scaled Vandermonde.
 
     V[i, l] = w_i * U_{n+1+l}(x_i) with w_i = sqrt(2/(N+2)) * sqrt(1-x_i^2),
-    i.e. the trailing column block of the orthogonal matrix D*A.
+    i.e. the trailing column block of the orthogonal matrix D*A. Read-only.
     """
-
-    N: int
-    n: int
-    matrix: np.ndarray
-
-
-def null_space_basis(N: int, n: int) -> NullBasis:
     if not N > n >= 0:
         raise ValueError("need N > n >= 0")
     grid = build_grid(N)
@@ -68,7 +59,7 @@ def null_space_basis(N: int, n: int) -> NullBasis:
     ms = np.arange(n + 2, N + 2)  # U_{n+1}..U_N give sin(m theta), m = n+2..N+1
     V = np.sqrt(2.0 / (N + 2)) * np.sin(np.outer(theta, ms))
     V.setflags(write=False)
-    return NullBasis(N=N, n=n, matrix=V)
+    return V
 
 
 @dataclass(frozen=True)
@@ -97,7 +88,7 @@ def rip_bruteforce(N: int, n: int, k: int) -> float:
         raise ValueError("support size exceeds the number of samples")
     if comb(N + 1, k) > ENUMERATION_GUARD:
         raise TooLarge(f"C({N + 1},{k}) supports exceed the {ENUMERATION_GUARD} guard")
-    V = null_space_basis(N, n).matrix  # rows of V are columns of V^T
+    V = null_space_basis(N, n)  # rows of V are columns of V^T
     worst = 0.0
     for S in itertools.combinations(range(N + 1), k):
         G = V[list(S), :] @ V[list(S), :].T
@@ -133,6 +124,7 @@ class RecoveryReport:
     residual_max_off_support: float
     certificate: RecoveryCertificate
     exact: bool
+    duality_gap: float  # |primal - dual objective| of the weighted-l1 LP
     grid: ChebGrid = field(repr=False)
     residuals: np.ndarray = field(repr=False)
 
@@ -145,11 +137,11 @@ def _cells(grid: ChebGrid) -> np.ndarray:
 
 
 def _grid_samples(source, N: int | None, n: int):
-    if isinstance(source, FuncRep) or callable(source):
+    if callable(source):
         N = default_grid_size(n) if N is None else N
         grid = build_grid(N)
-        evaluate = source.eval if isinstance(source, FuncRep) else source
-        samples = np.asarray(evaluate(grid.points), dtype=float)
+        f = source if isinstance(source, FuncRep) else FuncRep(source)
+        samples = f.eval(grid.points)
     else:
         samples = np.asarray(source, dtype=float)
         if N is None:
@@ -159,10 +151,12 @@ def _grid_samples(source, N: int | None, n: int):
         grid = build_grid(N)
     if len(samples) != N + 1:
         raise ValueError("need exactly N+1 samples")
+    if not np.all(np.isfinite(samples)):
+        raise DomainError("samples must be finite")
     return grid, samples
 
 
-def recover_l1(source, n: int, N: int | None = None, tol: float = DETECT_TOL) -> RecoveryReport:
+def recover_l1(source, n: int, N: int | None = None) -> RecoveryReport:
     """l1 recovery of a (possibly corrupted) polynomial from grid samples.
 
     source: FuncRep, callable, or an array of N+1 samples taken on
@@ -187,14 +181,14 @@ def recover_l1(source, n: int, N: int | None = None, tol: float = DETECT_TOL) ->
             break
         refit, *_ = np.linalg.lstsq(U[clean], samples[clean], rcond=None)
         new_resid = samples - U @ refit
-        new_flagged = np.abs(new_resid) > tol * scale
+        new_flagged = np.abs(new_resid) > DETECT_TOL * scale
         coeffs, resid = refit, new_resid
         if np.array_equal(new_flagged, flagged):
             flagged = new_flagged
             break
         flagged = new_flagged
 
-    flagged = np.abs(resid) > tol * scale
+    flagged = np.abs(resid) > DETECT_TOL * scale
     k = int(np.count_nonzero(flagged))
     off = resid[~flagged]
     resid_off = float(np.max(np.abs(off))) if off.size else 0.0
@@ -227,7 +221,7 @@ def recover_l1(source, n: int, N: int | None = None, tol: float = DETECT_TOL) ->
             thr = exact_recovery_threshold(n, "centered", zeta=zeta)
             cert_kwargs.update(centered_condition=s < thr, centered_threshold=thr)
 
-    exact = resid_off <= tol * scale and bound.sufficient
+    exact = resid_off <= DETECT_TOL * scale and bound.sufficient
     return RecoveryReport(
         recovered=ChebSeries(Basis.SECOND, coeffs),
         corrupted_indices=np.flatnonzero(flagged),
@@ -235,6 +229,7 @@ def recover_l1(source, n: int, N: int | None = None, tol: float = DETECT_TOL) ->
         residual_max_off_support=resid_off,
         certificate=RecoveryCertificate(**cert_kwargs),
         exact=exact,
+        duality_gap=sol.duality_gap,
         grid=grid,
         residuals=resid,
     )
@@ -317,11 +312,11 @@ class SweepResult:
     reports: list
 
 
-def degree_sweep(source, n_max: int, N: int | None = None, tol: float = DETECT_TOL) -> SweepResult:
+def degree_sweep(source, n_max: int, N: int | None = None) -> SweepResult:
     """Increase n from 0, stopping at the first degree whose report is exact."""
     reports = []
     for n in range(n_max + 1):
-        rep = recover_l1(source, n, N=N, tol=tol)
+        rep = recover_l1(source, n, N=N)
         reports.append(rep)
         if rep.exact:
             return SweepResult(found=n, reports=reports)

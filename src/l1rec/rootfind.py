@@ -148,7 +148,6 @@ def roots_in_interval(
     breakpoints=(),
     derivative=None,
     scale: float | None = None,
-    resid_tol: float = RESID_TOL,
     noise_floor: float = 0.0,
 ) -> np.ndarray:
     """All real roots of obj in [a, b] subseteq [-1, 1], ascending, deduplicated.
@@ -159,7 +158,7 @@ def roots_in_interval(
     local fitting tolerance and the final residual check, which otherwise
     sit far below what the evaluator can deliver once the residual is small
     and the degree is large. Each returned r satisfies
-    |obj(r)| <= max(resid_tol * scale, 8 * noise_floor).
+    |obj(r)| <= max(RESID_TOL * scale, 8 * noise_floor).
     """
     if not (-1.0 <= a <= b <= 1.0):
         raise ValueError("need -1 <= a <= b <= 1")
@@ -197,7 +196,7 @@ def roots_in_interval(
     roots = _polish(fn, derivative, roots, a, b)
     roots = _dedup(roots)
     if roots.size:
-        cut = max(resid_tol * scale, 8.0 * noise_floor)
+        cut = max(RESID_TOL * scale, 8.0 * noise_floor)
         ok = np.abs(np.asarray(fn(roots), dtype=float)) <= cut
         roots = roots[ok]
     return roots

@@ -1,10 +1,16 @@
 """Catalog functions and FuncRep representation invariants."""
 
+import math
+
 import numpy as np
 import pytest
 
 from l1rec.catalog import CATALOG_NAMES, catalog_function, resolve_function
+from l1rec.chebyshev import Basis, ChebSeries
+from l1rec.errors import DomainError
 from l1rec.funcrep import Corruption, FuncRep
+from l1rec.localization import concentration_ratio
+from l1rec.newton import best_l1
 
 
 class TestCatalog:
@@ -52,6 +58,31 @@ class TestFuncRepInvariants:
             Corruption(intervals=((0.0, 0.2), (0.1, 0.3)))  # overlap
         with pytest.raises(ValueError):
             Corruption(intervals=((-2.0, 0.0),))  # outside [-1, 1]
+
+    def test_intervals_in_any_order(self):
+        # Corruption and concentration_ratio share one validator, which sorts
+        corr = Corruption(intervals=((0.5, 0.6), (-0.5, -0.4)))
+        assert corr.intervals == ((-0.5, -0.4), (0.5, 0.6))
+        p = ChebSeries(Basis.SECOND, [1.0])
+        rep = concentration_ratio(p, ((0.5, 0.6), (-0.5, -0.4)))
+        assert rep.measure == pytest.approx(0.2)
+        for check in (Corruption, lambda ivs: concentration_ratio(p, ivs)):
+            with pytest.raises(ValueError, match="disjoint"):
+                check(((0.2, 0.4), (0.0, 0.3)))
+
+    def test_nonfinite_evaluator_fails_at_boundary(self):
+        # NaN for x > 0.5 raises the package error on first evaluation,
+        # not a scipy ValueError inside the LP
+        f = FuncRep(lambda x: np.where(x > 0.5, np.nan, x), name="nan_right")
+        with pytest.raises(DomainError, match="nan"):
+            best_l1(f, 5)
+
+    def test_non_vectorized_evaluator_rejected(self):
+        x = np.array([0.1, 0.2])
+        with pytest.raises(DomainError, match="vectorized"):
+            FuncRep(math.sin).eval(x)
+        with pytest.raises(DomainError, match="vectorized"):
+            FuncRep(lambda t: 1.0).eval(x)
 
     def test_corruption_measure_is_interval_sum(self):
         corr = Corruption(intervals=((-0.5, -0.2), (0.1, 0.4)))

@@ -102,6 +102,15 @@ class TestApprox:
         assert code == 0
         assert report["path"] == "newton_converged"
 
+    def test_corrupted_path_fills_exact_and_k(self, capsys):
+        code, report = run_json(
+            ["approx", "--fn", "corrupted_t5", "--degree", "5", "--no-timestamp"], capsys
+        )
+        assert code == 0
+        assert report["path"] == "corrupted_polynomial"
+        assert report["exact"] is True
+        assert report["k"] == 76
+
     def test_samples_file_rejected(self, capsys, tmp_path):
         path = tmp_path / "samples.csv"
         path.write_text("x,f\n0.0,1.0\n")
@@ -118,6 +127,7 @@ class TestRecover:
         assert code == 0
         assert report["exact"] is True
         assert report["k"] > 0
+        assert 0.0 <= report["duality_gap"] <= 1e-8
         t5 = np.zeros(6)
         t5[5] = 1.0
         from l1rec.chebyshev import first_to_second

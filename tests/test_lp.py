@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from l1rec.chebyshev import Basis, ChebSeries, build_grid, chebvander_second
-from l1rec.errors import CertificateUnavailable
-from l1rec.lp import LpStatus, WeightedL1Fit, dual_certificate, solve
+from l1rec.errors import SolverFailure
+from l1rec.lp import WeightedL1Fit, dual_certificate, solve
 
 
 def make_problem(points, weights, values, degree):
@@ -36,7 +36,6 @@ class TestSolve:
         p = ChebSeries(Basis.SECOND, c)
         prob = make_problem(g.points, g.weights, p(g.points), 4)
         sol = solve(prob)
-        assert sol.status is LpStatus.OPTIMAL
         assert sol.objective <= 1e-10 * prob.scale
         assert sol.coefficients.coeffs == pytest.approx(c, abs=1e-9)
 
@@ -56,7 +55,6 @@ class TestSolve:
         for _ in range(20):
             prob = random_problem(rng, n_max=6, N_max=80)
             sol = solve(prob)
-            assert sol.status is LpStatus.OPTIMAL
             scale = prob.scale
             r = prob.values - sol.coefficients(prob.points)
             off = np.abs(r) > 1e-9 * scale
@@ -66,6 +64,19 @@ class TestSolve:
             assert np.all(np.abs(sol.sigma) <= 1.0)
             assert np.array_equal(sol.sigma[off], np.sign(r[off]))
             assert sol.duality_gap <= 1e-8 * max(sol.objective, scale)
+
+    @pytest.mark.parametrize("status", [1, 2, 3, 4])
+    def test_nonoptimal_status_raises(self, status, monkeypatch):
+        # an iteration limit (status 1) comes back from HiGHS without x or
+        # marginals: every status but 0 is a SolverFailure
+        from scipy.optimize import OptimizeResult
+
+        stopped = OptimizeResult(
+            status=status, message="stopped", x=None, eqlin=OptimizeResult(marginals=None)
+        )
+        monkeypatch.setattr("l1rec.lp.linprog", lambda *args, **kwargs: stopped)
+        with pytest.raises(SolverFailure, match="l1-fit LP failed: stopped"):
+            solve(make_problem([0.0, 0.5], [1, 1], [0, 1], 0))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -153,10 +164,3 @@ class TestDualCertificate:
         prob = make_problem(pts, w, vals, 3)
         sol = solve(prob)
         assert dual_certificate(sol, prob) <= 1e-8 * np.sum(w)
-
-    def test_unavailable_for_nonoptimal(self):
-        prob = make_problem([0.0, 0.5], [1, 1], [0, 1], 0)
-        sol = solve(prob)
-        object.__setattr__(sol, "status", LpStatus.ITERATION_LIMIT)
-        with pytest.raises(CertificateUnavailable):
-            dual_certificate(sol, prob)

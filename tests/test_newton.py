@@ -1,4 +1,10 @@
-"""The best-L1 pipeline: trials, LP init, mesh refinement, Newton iteration."""
+"""The best-L1 pipeline: trials, LP init, mesh refinement, Newton iteration.
+
+Each stage is exercised through the function the pipeline calls: the
+certified interpolant through best_l1, the LP start through
+recover_l1(...).recovered, and the optimality integrals through
+make_state(...).mu.
+"""
 
 import numpy as np
 import pytest
@@ -10,14 +16,12 @@ from l1rec.funcrep import FuncRep, Residual
 from l1rec.newton import (
     Path,
     best_l1,
-    compute_mu,
-    lp_initialize,
     make_state,
     near_best_factor,
     newton_step,
     refine_mesh,
-    trial_interpolant,
 )
+from l1rec.recovery import recover_l1
 
 
 def u_series(c):
@@ -44,52 +48,60 @@ class TestTrialInterpolant:
     @pytest.mark.parametrize("n", [1, 2, 5, 10])
     def test_t_nplus1(self, n):
         f = FuncRep(t_basis(n + 1), name="T")
-        p = trial_interpolant(f, n)
-        assert p is not None
+        out = best_l1(f, n)
+        assert out.path is Path.INTERPOLANT_SHORTCUT
+        assert out.l1_error > 0.0  # certified by its sign pattern
+        p = out.polynomial
         # T_{n+1} = (U_{n+1} - U_{n-1})/2, so the interpolant is -U_{n-1}/2
         expect = np.zeros(n + 1)
         expect[n - 1] = -0.5
         assert p.coeffs == pytest.approx(expect, abs=1e-13)
 
-    def test_polynomial_returns_none(self):
+    def test_polynomial_zero_residual(self):
+        # no sign pattern certifies a polynomial: its interpolant is returned
+        # on the strength of a numerically zero residual
         f = FuncRep(u_series([0.3, 0.2, 1.0]), name="p")
-        assert trial_interpolant(f, 4) is None
+        out = best_l1(f, 4)
+        assert out.path is Path.INTERPOLANT_SHORTCUT
+        assert out.trace == [(0, 0.0, 0.0)]
+        assert out.l1_error == 0.0
 
     def test_sqrt_even_degree(self):
         f = FuncRep(lambda x: np.sqrt(np.maximum(0.0, 1 - x * x)), name="sqrt")
-        p = trial_interpolant(f, 4)
-        assert p is not None
+        out = best_l1(f, 4)
+        assert out.path is Path.INTERPOLANT_SHORTCUT
+        p = out.polynomial
         assert p.degree <= 4
         # certified optimal: all optimality integrals vanish
-        assert np.max(np.abs(compute_mu(p, f, 4))) < 1e-10
+        assert np.max(np.abs(make_state(f, p, n=4).mu)) < 1e-10
 
     def test_sqrt_odd_degree(self):
         f = FuncRep(lambda x: np.sqrt(np.maximum(0.0, 1 - x * x)), name="sqrt")
-        p = trial_interpolant(f, 5)
-        assert p is not None
-        assert np.max(np.abs(compute_mu(p, f, 5))) < 1e-10
+        out = best_l1(f, 5)
+        assert out.path is Path.INTERPOLANT_SHORTCUT
+        assert np.max(np.abs(make_state(f, out.polynomial, n=5).mu)) < 1e-10
 
     def test_absx_quadratic_true_optimum(self):
         # |x| with n=2: the 3-node interpolant sqrt(2)x^2 only touches zero at
         # x=0, so it is not optimal; the certified optimum interpolates at the
         # four U_4 roots: p* = sqrt(5)/10 + (2/sqrt(5)) x^2
         f = absx()
-        p = trial_interpolant(f, 2)
-        assert p is not None
+        out = best_l1(f, 2)
+        assert out.path is Path.INTERPOLANT_SHORTCUT
         expect = [1.0 / np.sqrt(5.0), 0.0, np.sqrt(5.0) / 10.0]
-        assert p.coeffs == pytest.approx(expect, abs=1e-12)
+        assert out.polynomial.coeffs == pytest.approx(expect, abs=1e-12)
 
 
 class TestLpInitialize:
     def test_polynomial_exact(self):
         c = np.array([0.2, -0.5, 0.0, 1.4])
         f = FuncRep(u_series(c), name="p")
-        p = lp_initialize(f, 3, N=500)
+        p = recover_l1(f, 3, N=500).recovered
         assert p.coeffs == pytest.approx(c, abs=1e-10)
 
     def test_absx_close_to_optimum(self):
         f = absx()
-        p = lp_initialize(f, 2)
+        p = recover_l1(f, 2).recovered
         expect = np.array([1.0 / np.sqrt(5.0), 0.0, np.sqrt(5.0) / 10.0])
         assert np.max(np.abs(p.coeffs - expect)) < 1e-3
 
@@ -122,14 +134,14 @@ class TestComputeMu:
     def test_odd_identity(self):
         # f(x) = x, c = 0: mu_0 = int sign(x) dx = 0
         f = FuncRep(lambda x: np.asarray(x, float), name="x")
-        mu = compute_mu(u_series([0.0]), f, 0)
+        mu = make_state(f, u_series([0.0]), n=0).mu
         assert mu == pytest.approx([0.0], abs=1e-13)
 
     def test_matches_adaptive_quadrature(self):
         f = FuncRep(lambda x: np.exp(x) * np.sin(3 * x), name="es")
         c = u_series([0.1, 0.4, -0.2])
         res = Residual(f, c)
-        mu = compute_mu(c, f, 2)
+        mu = make_state(f, c, n=2).mu
         for j, uj in enumerate(
             [lambda x: 1.0, lambda x: 2 * x, lambda x: 4 * x * x - 1.0]
         ):
@@ -144,21 +156,21 @@ class TestComputeMu:
 
     def test_zero_at_optimum(self):
         f = absx()
-        p = trial_interpolant(f, 2)
-        assert np.max(np.abs(compute_mu(p, f, 2))) < 1e-12
+        p = best_l1(f, 2).polynomial
+        assert np.max(np.abs(make_state(f, p, n=2).mu)) < 1e-12
 
 
 class TestNewtonStep:
     def test_fixed_point_at_optimum(self):
         f = absx()
-        p = trial_interpolant(f, 2)
+        p = best_l1(f, 2).polynomial
         state = make_state(f, p, n=2)
         new = newton_step(state, f)
         assert np.max(np.abs(new.coeffs.coeffs - p.coeffs)) < 1e-10
 
     def test_quadratic_optimality_decrease(self):
         f = absx()
-        p = lp_initialize(f, 2)
+        p = recover_l1(f, 2).recovered
         state = make_state(f, p, n=2)
         opts = [state.optimality]
         for _ in range(6):
@@ -190,7 +202,7 @@ class TestNewtonStep:
         import dataclasses
 
         f = absx()
-        state = make_state(f, lp_initialize(f, 2), n=2)
+        state = make_state(f, recover_l1(f, 2).recovered, n=2)
         assert state.roots.size >= 2
         flattened = state.eprime.copy()
         flattened[0] = 0.0

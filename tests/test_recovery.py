@@ -24,18 +24,18 @@ def u_series(c):
 
 class TestNullBasis:
     def test_2x1_unit_column(self):
-        V = null_space_basis(1, 0).matrix
+        V = null_space_basis(1, 0)
         assert V.shape == (2, 1)
         assert np.linalg.norm(V[:, 0]) == pytest.approx(1.0, abs=1e-13)
 
     def test_orthonormal_columns(self):
-        V = null_space_basis(5, 2).matrix
+        V = null_space_basis(5, 2)
         G = V.T @ V
         assert np.max(np.abs(G - np.eye(3))) < 1e-13
 
     def test_annihilates_scaled_vandermonde(self):
         N, n = 10, 3
-        V = null_space_basis(N, n).matrix
+        V = null_space_basis(N, n)
         g = build_grid(N)
         Phi = chebvander_second(g.points, n)
         D = np.sqrt(2.0 / (N + 2)) * g.sines
@@ -65,7 +65,7 @@ class TestRipBruteforce:
 
     def test_k1_column_norm_sweep(self):
         N, n = 9, 2
-        V = null_space_basis(N, n).matrix
+        V = null_space_basis(N, n)
         expect = max(abs(1.0 - np.dot(V[i], V[i])) for i in range(N + 1))
         assert rip_bruteforce(N, n, 1) == pytest.approx(expect, abs=1e-13)
         assert rip_bruteforce(N, n, 1) <= 2.0 * (n + 1) / (N + 2) + 1e-10
@@ -133,6 +133,23 @@ class TestRecoverL1:
     def test_not_a_polynomial(self):
         rep = recover_l1(FuncRep(np.abs, breakpoints=[0.0]), 3, N=200)
         assert not rep.exact
+
+    def test_duality_gap_corrupted_t5(self):
+        from l1rec.catalog import catalog_function
+
+        f = catalog_function("corrupted_t5")
+        rep = recover_l1(f, 5)
+        assert rep.exact
+        objective = float(np.dot(rep.grid.weights, np.abs(rep.residuals)))
+        scale = float(np.max(np.abs(f.eval(rep.grid.points))))
+        assert 0.0 <= rep.duality_gap <= 1e-8 * max(objective, scale)
+
+    def test_nonfinite_samples_rejected(self):
+        # a NaN sample fails at the boundary, before the LP sees it
+        samples = u_series([0.5, 0.2, -0.7, 1.0])(build_grid(40).points)
+        samples[7] = np.nan
+        with pytest.raises(DomainError, match="finite"):
+            recover_l1(samples, 3)
 
 
 class TestL0Oracle:
