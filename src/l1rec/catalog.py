@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial import legendre
 
+from .errors import SubdivisionLimit
 from .expressions import Expression, parse_expression
 from .funcrep import Corruption, FuncRep
 from .rootfind import roots_in_interval
@@ -94,7 +95,7 @@ def funcrep_from_expression(text: str) -> FuncRep:
         try:
             wrapped = Expression(text="<kink-arg>", _eval=arg, kink_args=())
             breakpoints.extend(roots_in_interval(wrapped))
-        except Exception:
+        except SubdivisionLimit:
             continue  # splitting in the proxy will localize the kink instead
     return FuncRep(expr, breakpoints=breakpoints, name=text)
 

@@ -15,6 +15,8 @@ from functools import cached_property
 import numpy as np
 import scipy.fft
 
+from .errors import TooLarge
+
 __all__ = [
     "Basis",
     "ChebGrid",
@@ -25,11 +27,21 @@ __all__ = [
     "coeffs_from_values",
     "differentiate",
     "first_to_second",
+    "gap_integrals",
+    "gap_moments",
+    "gap_values",
     "interpolate_on_grid",
     "second_to_first",
     "secondkind_segment_integrals",
     "tcheb_values",
+    "VANDERMONDE_MAX_ENTRIES",
 ]
+
+# Largest dense Vandermonde chebvander_second builds: 2^26 float64 entries
+# (512 MiB). The LP solvers copy the matrix again, so a larger one does not
+# fit beside them on a machine of a few GB; the default best-L1 LP grid of
+# 1000 + 50n points reaches it near n = 1150.
+VANDERMONDE_MAX_ENTRIES = 2**26
 
 
 class Basis(enum.Enum):
@@ -107,8 +119,10 @@ def second_to_first(c: np.ndarray) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     n = len(c) - 1
     a = np.zeros(n + 3)
-    for k in range(n, 0, -1):
-        a[k] = 2.0 * c[k] + a[k + 2]
+    # a_k = 2 c_k + a_{k+2}: twice a running sum from the top, per parity
+    # (np.cumsum adds in order, so this rounds as the recurrence does)
+    for start in (1, 2):
+        a[start : n + 1 : 2] = 2.0 * np.cumsum(c[start::2][::-1])[::-1]
     a[0] = c[0] + a[2] / 2.0
     return a[: n + 1]
 
@@ -149,9 +163,82 @@ def secondkind_segment_integrals(n: int, bounds) -> np.ndarray:
     return table
 
 
+def gap_moments(signs, n: int) -> np.ndarray:
+    """mu_j = sum_i signs[i] * integral of U_j over gap i, for j = 0..n <= m-1.
+
+    The m = len(signs) gaps lie between consecutive points of cos(k pi/m),
+    k = m..0, in ascending x (the nodes of build_grid(m-2) and +-1). With
+    h = pi/m and t the gap's midpoint angle, integral U_j = 2 sin((j+1)t)
+    sin((j+1)h/2)/(j+1), and t = (l+1/2)h over the reversed gaps, so the sum
+    is one DST-II. Equals secondkind_segment_integrals(n, bounds) @ signs at
+    the exact nodes, in O(m log m) and without the table.
+    """
+    s = np.asarray(signs, dtype=float)
+    m = len(s)
+    if not 0 <= n < m:
+        raise ValueError("need 0 <= n < len(signs)")
+    j = np.arange(1, n + 2)
+    return np.sin(j * (np.pi / (2 * m))) / j * scipy.fft.dst(s[::-1], type=2)[: n + 1]
+
+
+def gap_integrals(coeffs, m: int) -> np.ndarray:
+    """Integral of the second-kind series sum_j coeffs[j] U_j over each of the
+    m gaps of :func:`gap_moments`, ascending: coeffs @ secondkind_segment_integrals
+    at the exact nodes, as one DST-III of c_j sin((j+1)h/2)/(j+1).
+
+    The half-angle form needs no antiderivative differencing, so it does not
+    lose digits to cancellation.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    if not 0 < len(c) <= m:
+        raise ValueError("need 1 <= len(coeffs) <= m")
+    j = np.arange(1, len(c) + 1)
+    d = np.zeros(m)
+    d[: len(c)] = c * np.sin(j * (np.pi / (2 * m))) / j
+    d[m - 1] *= 2.0  # DST-III halves its last input
+    return scipy.fft.dst(d, type=3)[::-1]
+
+
+def gap_values(series: "ChebSeries", m: int, per_gap: int):
+    """(x, values, noise): `series` at per_gap theta-uniform interior points of
+    each of the m gaps of :func:`gap_moments`.
+
+    x and values have shape (m, per_gap), gaps and points in ascending x.
+    The points are x = cos(k pi/M) with M = m(per_gap+1), so all the values
+    come from one DCT-I of length M+1 of the first-kind coefficients a.
+    noise bounds |values - series(x)| apart from the rounding series(x)
+    itself would carry: the transform's rounding, eps log2(M+1) sum|a_j|
+    (the usual fast-transform growth), plus eps sum j^2|a_j| for evaluating at
+    the exact cos(k pi/M) rather than at its floating-point x (|T_j'| <= j^2).
+    """
+    a = series.to_basis(Basis.FIRST).coeffs
+    M = m * (per_gap + 1)
+    if len(a) > M:
+        raise ValueError("series degree too high for the sample grid")
+    y = np.zeros(M + 1)
+    y[0] = a[0]
+    y[1 : len(a)] = 0.5 * a[1:]  # DCT-I weighs its inner inputs twice
+    on_grid = scipy.fft.dct(y, type=1)  # series(cos(k pi/M)), k = 0..M
+    k = (m - np.arange(m)[:, None]) * (per_gap + 1) - np.arange(1, per_gap + 1)
+    x = np.sin(np.pi * (M - 2 * k) / (2 * M))  # cos(k pi/M), symmetric as in build_grid
+    j = np.arange(len(a))
+    eps = np.finfo(float).eps
+    noise = eps * float(np.log2(M + 1) * np.sum(np.abs(a)) + np.sum(j * j * np.abs(a)))
+    return x, on_grid[k], noise
+
+
 def chebvander_second(x, n: int) -> np.ndarray:
-    """Vandermonde matrix V[i, j] = U_j(x_i) for j = 0..n."""
+    """Vandermonde matrix V[i, j] = U_j(x_i) for j = 0..n.
+
+    Raises TooLarge, before allocating, when V would hold more than
+    VANDERMONDE_MAX_ENTRIES entries.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.size * (n + 1) > VANDERMONDE_MAX_ENTRIES:
+        raise TooLarge(
+            f"a {x.size} x {n + 1} Vandermonde matrix exceeds the "
+            f"{VANDERMONDE_MAX_ENTRIES}-entry guard"
+        )
     V = np.empty((x.size, n + 1))
     V[:, 0] = 1.0
     if n >= 1:

@@ -14,7 +14,8 @@ class SubdivisionLimit(L1RecError):
 
 
 class TooLarge(L1RecError):
-    """A brute-force enumeration guard was violated."""
+    """A size guard was violated: a brute-force enumeration or a dense
+    matrix too large to allocate."""
 
 
 class NotFound(L1RecError):

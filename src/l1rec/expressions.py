@@ -69,7 +69,9 @@ class Expression:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # overflow, NaN and division by zero anywhere in the compiled tree
+        # surface as the DomainError below, not as numpy warnings
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             out = np.asarray(self._eval(x), dtype=float)
         if out.shape != x.shape:
             out = np.broadcast_to(out, x.shape).copy()

@@ -27,6 +27,9 @@ from .chebyshev import (
     ChebSeries,
     build_grid,
     chebvander_second,
+    gap_integrals,
+    gap_moments,
+    gap_values,
     interpolate_on_grid,
     secondkind_segment_integrals,
 )
@@ -116,60 +119,60 @@ def make_state(f: FuncRep, c: ChebSeries, n: int | None = None, k: int = 0, **fl
     )
 
 
-def _gap_signs(res: Residual, nodes: np.ndarray):
-    """Residual sign in each gap between consecutive nodes (and the two end
-    gaps against +-1), or None when the pattern cannot be certified.
+GAP_SAMPLES = 8  # theta-uniform residual samples per gap between nodes
+
+
+def _gap_signs(res: Residual, m: int):
+    """Residual sign in each of the m gaps between the nodes cos(k pi/m),
+    k = 1..m-1 (and the two end gaps against +-1), ascending, or None when
+    the pattern cannot be certified.
 
     The residual vanishes at the nodes by construction, so the candidate
-    crossings are known: each gap is sampled at 8 Chebyshev-distributed
-    points, samples below twice the evaluation-noise bound are discarded
-    (their sign is not meaningful), and a certificate requires every usable
-    sample in a gap to agree. No rootfinding is involved, which keeps the
-    test reliable when the residual amplitude approaches the noise floor.
+    crossings are known: each gap is sampled at GAP_SAMPLES theta-uniform
+    interior points, samples below twice the evaluation-noise bound plus the
+    rounding bound of the transform that evaluates p are discarded (their
+    sign is not meaningful), and a certificate requires every usable sample
+    in a gap to agree. No rootfinding is involved, which keeps the test
+    reliable when the residual amplitude approaches the noise floor.
     """
-    bounds = np.concatenate([[-1.0], nodes, [1.0]])
-    local = np.cos(np.pi * (2 * np.arange(8) + 1) / 16.0)
-    lo, hi = bounds[:-1], bounds[1:]
-    pts = lo[:, None] + 0.5 * (hi - lo)[:, None] * (local[None, :] + 1.0)
-    vals = res(pts.ravel()).reshape(pts.shape)
-    usable = np.abs(vals) > 2.0 * res.eval_noise
-    if not np.all(usable.any(axis=1)):
+    x, p_vals, transform_noise = gap_values(res.p, m, GAP_SAMPLES)
+    vals = res.f.eval(x.ravel()).reshape(x.shape) - p_vals
+    usable = np.abs(vals) > 2.0 * res.eval_noise + transform_noise
+    positive = np.all(~usable | (vals > 0), axis=1)
+    negative = np.all(~usable | (vals < 0), axis=1)
+    # a gap with no usable sample passes both tests, a mixed one neither
+    if not np.all(positive != negative):
         return None
-    signs = np.empty(len(lo))
-    for i in range(len(lo)):
-        v = vals[i, usable[i]]
-        if not (np.all(v > 0) or np.all(v < 0)):
-            return None  # an uncertified crossing inside the gap
-        signs[i] = np.sign(v[0])
-    return bounds, signs
+    return np.where(positive, 1.0, -1.0)
 
 
 def _certified_interpolant(f: FuncRep, n: int):
-    """(polynomial, gap bounds, gap signs) when a grid interpolant is
-    certified optimal by its sign pattern, (polynomial, None, None) when its
-    residual is numerically zero (f is a degree <= n polynomial), else None.
+    """(polynomial, m, gap signs) when a grid interpolant is certified optimal
+    by its sign pattern on the m gaps between the nodes cos(k pi/m), or
+    (polynomial, None, None) when its residual is numerically zero (f is a
+    degree <= n polynomial), else None.
 
-    Phase 1: the n+1-node interpolant is optimal iff its residual changes
-    sign at every node and nowhere else. Phase 2 (symmetric cases): when the
-    n+2-node interpolant happens to have degree <= n, the same test against
-    the n+2 nodes certifies it, since sign(e) = +-sign(U_{n+2}) makes
-    sign(e) orthogonal to P_{n+1}, a superset of P_n.
+    Phase 1 (m = n+2): the n+1-node interpolant is optimal iff its residual
+    changes sign at every node and nowhere else. Phase 2 (m = n+3, symmetric
+    cases): when the n+2-node interpolant happens to have degree <= n, the
+    same test against the n+2 nodes certifies it, since sign(e) =
+    +-sign(U_{n+2}) makes sign(e) orthogonal to P_{n+1}, a superset of P_n.
     """
     p = interpolate_on_grid(f.eval, n)
     res = Residual(f, p)
     if res.negligible:
         return p, None, None
-    out = _gap_signs(res, build_grid(n).points)
-    if out is not None and _alternating(out[1]):
-        return p, out[0], out[1]
+    signs = _gap_signs(res, n + 2)
+    if signs is not None and _alternating(signs):
+        return p, n + 2, signs
     q = interpolate_on_grid(f.eval, n + 1)
     if abs(q.coeffs[n + 1]) <= 1e-12 * q.coeff_max:
         q2 = ChebSeries(Basis.SECOND, q.coeffs[: n + 1])
         res2 = Residual(f, q2)
         if not res2.negligible:
-            out = _gap_signs(res2, build_grid(n + 1).points)
-            if out is not None and _alternating(out[1]):
-                return q2, out[0], out[1]
+            signs = _gap_signs(res2, n + 3)
+            if signs is not None and _alternating(signs):
+                return q2, n + 3, signs
     return None
 
 
@@ -283,8 +286,8 @@ def best_l1(
     if not force_newton:
         certified = _certified_interpolant(f, n)
         if certified is not None:
-            p, bounds, signs = certified
-            if bounds is None:
+            p, m, signs = certified
+            if m is None:
                 return BestL1Result(
                     polynomial=p,
                     path=Path.INTERPOLANT_SHORTCUT,
@@ -293,11 +296,11 @@ def best_l1(
                     l1_error=0.0,
                     mu=np.zeros(n + 1),
                 )
-            # one table serves mu and the integrals of p: at high degree it
-            # is the largest object of the shortcut
-            table = secondkind_segment_integrals(n, bounds)
-            mu = table @ signs
-            objective = segment_l1(f, bounds, p.coeffs @ table)
+            # the gap bounds are the nodes cos(k pi/m), so mu and the gap
+            # integrals of p are one sine transform each
+            bounds = np.concatenate([[-1.0], build_grid(m - 2).points, [1.0]])
+            mu = gap_moments(signs, n)
+            objective = segment_l1(f, bounds, gap_integrals(p.coeffs, m))
             return BestL1Result(
                 polynomial=p,
                 path=Path.INTERPOLANT_SHORTCUT,

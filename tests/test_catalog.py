@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from l1rec.catalog import CATALOG_NAMES, catalog_function, resolve_function
+from l1rec import catalog
+from l1rec.catalog import CATALOG_NAMES, catalog_function, funcrep_from_expression, resolve_function
 from l1rec.chebyshev import Basis, ChebSeries
-from l1rec.errors import DomainError
+from l1rec.errors import DomainError, SubdivisionLimit
 from l1rec.funcrep import Corruption, FuncRep
 from l1rec.localization import concentration_ratio
 from l1rec.newton import best_l1
@@ -94,3 +95,25 @@ class TestFuncRepInvariants:
         x = np.array([-0.3, 0.2, 0.7])
         expect = np.exp(x) * (np.sin(10 * x) + 10 * np.cos(10 * x))
         assert f.derivative(x) == pytest.approx(expect, rel=1e-9)
+
+
+class TestKinkRootfinding:
+    """funcrep_from_expression skips a kink only when rootfinding runs out of
+    budget; any other failure is a fault and propagates."""
+
+    def test_budget_exhausted_kink_is_skipped(self, monkeypatch):
+        def exhausted(fn, *args, **kwargs):
+            raise SubdivisionLimit("rootfinding exceeded 4096 subintervals")
+
+        monkeypatch.setattr(catalog, "roots_in_interval", exhausted)
+        f = funcrep_from_expression("abs(x-0.25)")
+        assert f.breakpoints == ()
+        assert f.eval(np.array([0.5]))[0] == pytest.approx(0.25)
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def broken(fn, *args, **kwargs):
+            raise ZeroDivisionError("fault inside rootfinding")
+
+        monkeypatch.setattr(catalog, "roots_in_interval", broken)
+        with pytest.raises(ZeroDivisionError, match="fault inside rootfinding"):
+            funcrep_from_expression("abs(x-0.25)")

@@ -4,15 +4,23 @@ import numpy as np
 import pytest
 
 from l1rec.chebyshev import (
+    VANDERMONDE_MAX_ENTRIES,
     Basis,
     ChebSeries,
     build_grid,
+    chebvander_second,
     differentiate,
     first_to_second,
+    gap_integrals,
+    gap_moments,
+    gap_values,
     interpolate_on_grid,
     second_to_first,
     secondkind_segment_integrals,
 )
+from l1rec.errors import TooLarge
+
+EPS = np.finfo(float).eps
 
 
 def u_series(coeffs):
@@ -197,3 +205,102 @@ class TestSegmentIntegral:
         F = np.polynomial.chebyshev.chebint(s.to_basis(Basis.FIRST).coeffs)
         expect = np.polynomial.chebyshev.chebval(b, F) - np.polynomial.chebyshev.chebval(a, F)
         assert s.integrate(a, b) == pytest.approx(expect, rel=1e-13)
+
+
+def gap_bounds(m):
+    """-1, the nodes of build_grid(m-2), 1: the bounds of the m gaps."""
+    return np.concatenate([[-1.0], build_grid(m - 2).points, [1.0]])
+
+
+def longdouble_gap_table(n, m):
+    """integral of U_j over each gap between the exact nodes cos(k pi/m),
+    by differencing T_{j+1}/(j+1) in extended precision."""
+    pi = np.arccos(np.longdouble(-1.0))
+    theta = pi * (m - np.arange(m + 1, dtype=np.longdouble)) / m
+    j = np.arange(1, n + 2, dtype=np.longdouble)[:, None]
+    T = np.cos(j * theta[None, :])
+    return (T[:, 1:] - T[:, :-1]) / j
+
+
+def longdouble_clenshaw_second(c, x):
+    c = np.asarray(c, dtype=np.longdouble)
+    x = np.asarray(x, dtype=np.longdouble)
+    b1 = np.zeros_like(x)
+    b2 = np.zeros_like(x)
+    for ck in c[:0:-1]:
+        b1, b2 = ck + 2 * x * b1 - b2, b1
+    return c[0] + 2 * x * b1 - b2
+
+
+class TestGapTransforms:
+    """mu and the segment integrals of the shortcut by sine transforms, and
+    p at theta-uniform gap samples by one DCT-I."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 10, 300, 2560])
+    @pytest.mark.parametrize("extra", [2, 3])  # m = n+2 (phase 1), n+3 (phase 2)
+    def test_match_the_table(self, n, extra):
+        m = n + extra
+        rng = np.random.default_rng(n + extra)
+        signs = rng.choice([-1.0, 1.0], m)
+        c = rng.standard_normal(n + 1)
+        table = secondkind_segment_integrals(n, gap_bounds(m))
+        # the table integrates between the rounded bounds: each of the m+1
+        # moves an integral of U_j by at most (n+1) eps, of p by sum (j+1)|c_j| eps
+        j = np.arange(1, n + 2)
+        assert np.max(np.abs(gap_moments(signs, n) - table @ signs)) <= (m + 1) * (n + 1) * EPS
+        assert np.max(np.abs(gap_integrals(c, m) - c @ table)) <= (m + 1) * np.sum(j * np.abs(c)) * EPS
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 10, 300])
+    @pytest.mark.parametrize("extra", [1, 2, 3])
+    def test_exact_nodes_to_rounding(self, n, extra):
+        m = n + extra
+        rng = np.random.default_rng(100 + n)
+        signs = rng.choice([-1.0, 1.0], m)
+        c = rng.standard_normal(n + 1)
+        ref = longdouble_gap_table(n, m)
+        mu = (ref @ signs.astype(np.longdouble)).astype(float)
+        integrals = (c.astype(np.longdouble) @ ref).astype(float)
+        assert np.max(np.abs(gap_moments(signs, n) - mu)) <= 16 * EPS
+        assert np.max(np.abs(gap_integrals(c, m) - integrals)) <= 16 * EPS * np.max(np.abs(c))
+
+    def test_sizes_checked(self):
+        with pytest.raises(ValueError):
+            gap_moments(np.ones(3), 3)
+        with pytest.raises(ValueError):
+            gap_integrals(np.ones(4), 3)
+
+    @pytest.mark.parametrize("n", [0, 1, 10, 300, 2560])
+    @pytest.mark.parametrize("decay", [0, 2])
+    def test_values_within_their_noise_bound(self, n, decay):
+        rng = np.random.default_rng(7 * n + decay)
+        p = ChebSeries(Basis.SECOND, rng.standard_normal(n + 1) / np.arange(1, n + 2) ** decay)
+        m = n + 2
+        x, vals, noise = gap_values(p, m, 8)
+        assert x.shape == vals.shape == (m, 8)
+        bounds = gap_bounds(m)
+        assert np.all(np.diff(x.ravel()) > 0)
+        assert np.all((x > bounds[:-1, None]) & (x < bounds[1:, None]))
+        ref = longdouble_clenshaw_second(p.coeffs, x).astype(float)
+        assert np.max(np.abs(vals - ref)) <= noise
+
+    def test_values_of_the_absx_interpolant(self):
+        # the series the shortcut certifies at high degree, within the
+        # threshold best_l1 uses to discard residual samples
+        n = 5120
+        q = interpolate_on_grid(np.abs, n + 1)
+        p = ChebSeries(Basis.SECOND, q.coeffs[: n + 1])
+        x, vals, noise = gap_values(p, n + 3, 8)
+        rows = slice(None, None, 16)  # every 16th gap keeps the reference cheap
+        ref = longdouble_clenshaw_second(p.coeffs, x[rows]).astype(float)
+        assert np.max(np.abs(vals[rows] - ref)) <= noise < 1e-11
+
+
+class TestVandermondeGuard:
+    def test_within_the_guard(self):
+        V = chebvander_second([0.5], 3)
+        assert V[0] == pytest.approx([1.0, 1.0, 0.0, -1.0], abs=1e-15)
+
+    def test_too_large_raises_before_allocating(self):
+        # two points at this degree would need 2^26 + 2 entries (512 MiB)
+        with pytest.raises(TooLarge, match="Vandermonde"):
+            chebvander_second([0.0, 0.5], VANDERMONDE_MAX_ENTRIES // 2)

@@ -93,6 +93,27 @@ class TestApprox:
         assert "l1-fit LP failed" in report["error"]
         assert report["input"] == {"fn": "expsin10", "degree": 4, "tol": 1e-14}
 
+    def test_degree_beyond_the_lp_guard_exit3(self, capsys):
+        # |x| at n = 20480 does not certify at the noise floor, and the LP
+        # start would need a 1,025,000 x 20481 Vandermonde (156 GiB)
+        code, report = run_json(
+            ["approx", "--fn", "abs(x)", "--degree", "20480", "--no-timestamp"], capsys
+        )
+        assert code == 3
+        assert report["path"] == "TooLarge"
+        assert "Vandermonde" in report["error"]
+
+    def test_overflow_exits_2_without_numpy_warning(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "l1rec.cli", "approx", "--fn", "exp(1000*x)",
+             "--degree", "3", "--no-timestamp"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "left the real domain" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
     def test_offcenter_kink_degree12(self, capsys):
         # a refined-mesh LP on which HiGHS can stop with "Status 0: Not Set"
         # at the 1e-10 feasibility tolerance

@@ -1,5 +1,7 @@
 """Expression grammar: parsing, precedence, domain errors."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,13 @@ class TestErrors:
     def test_division_by_zero(self):
         with pytest.raises(DomainError):
             ev("1/x", [0.0])
+
+    @pytest.mark.parametrize("text", ["exp(1000*x)", "(1e200*x)^2", "sin(1e300*x*1e300)"])
+    def test_overflow_is_a_domain_error_not_a_warning(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                ev(text, [1.0])
 
 
 class TestKinkHints:

@@ -3,8 +3,11 @@
 Each stage is exercised through the function the pipeline calls: the
 certified interpolant through best_l1, the LP start through
 recover_l1(...).recovered, and the optimality integrals through
-make_state(...).mu.
+make_state(...).mu. The shortcut's gap-sign test is also called on its own
+(_gap_signs), to show which residuals it accepts and rejects.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from l1rec.chebyshev import Basis, ChebSeries
 from l1rec.funcrep import FuncRep, Residual
 from l1rec.newton import (
     Path,
+    _gap_signs,
     best_l1,
     make_state,
     near_best_factor,
@@ -316,3 +320,46 @@ class TestBestL1:
                 c[j] += s * 1e-6
                 pert = quad_l1(f.eval, u_series(c), points=out.polynomial.coeffs[:1])
                 assert pert >= base - 1e-12
+
+
+class TestShortcutCertificate:
+    """The sign test of the certified interpolant, and its memory."""
+
+    N = 4
+    GAP_CENTER = np.cos(3.5 * np.pi / 6)  # middle of gap [cos(4pi/6), cos(3pi/6)], m = N+2
+
+    def u5(self):
+        return u_series([0.0] * (self.N + 1) + [1.0])
+
+    def planted(self, x):
+        # U_5 times a factor that flips sign inside one gap only: f still
+        # vanishes at every node, so its interpolant is 0 and the residual
+        # is f, with two extra sign changes inside that gap
+        x = np.asarray(x, dtype=float)
+        return self.u5()(x) * (1.0 - 2.0 * np.exp(-(((x - self.GAP_CENTER) / 0.08) ** 2)))
+
+    def test_alternating_residual_certifies(self):
+        f = FuncRep(self.u5(), name="U5")
+        signs = _gap_signs(Residual(f, u_series(np.zeros(self.N + 1))), self.N + 2)
+        assert signs is not None and np.all(signs[:-1] * signs[1:] < 0)
+        out = best_l1(f, self.N)
+        assert out.path is Path.INTERPOLANT_SHORTCUT
+        assert out.l1_error == pytest.approx(2.0, rel=1e-14)  # integral |U_m| = 2
+
+    def test_planted_sign_change_is_rejected(self):
+        f = FuncRep(self.planted, name="planted")
+        assert _gap_signs(Residual(f, u_series(np.zeros(self.N + 1))), self.N + 2) is None
+        out = best_l1(f, self.N)
+        assert out.path is not Path.INTERPOLANT_SHORTCUT
+
+    def test_no_quadratic_table(self):
+        # the (n+1) x (n+3) segment table alone would be 210 MB at n = 5120
+        f = absx()
+        tracemalloc.start()
+        try:
+            out = best_l1(f, 5120)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.path is Path.INTERPOLANT_SHORTCUT
+        assert peak < 32 * 2**20
