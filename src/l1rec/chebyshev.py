@@ -26,6 +26,7 @@ __all__ = [
     "chebvander_second",
     "coeffs_from_values",
     "differentiate",
+    "extrema_values",
     "first_to_second",
     "gap_integrals",
     "gap_moments",
@@ -39,8 +40,9 @@ __all__ = [
 
 # Largest dense Vandermonde chebvander_second builds: 2^26 float64 entries
 # (512 MiB). The LP solvers copy the matrix again, so a larger one does not
-# fit beside them on a machine of a few GB; the default best-L1 LP grid of
-# 1000 + 50n points reaches it near n = 1150.
+# fit beside them on a machine of a few GB. best_l1's refine LP of 20(n+1)
+# points reaches it near n = 1830, recover_l1's default grid of 1000 + 50n
+# points near n = 1150.
 VANDERMONDE_MAX_ENTRIES = 2**26
 
 
@@ -199,6 +201,21 @@ def gap_integrals(coeffs, m: int) -> np.ndarray:
     return scipy.fft.dst(d, type=3)[::-1]
 
 
+def extrema_values(a, M: int) -> np.ndarray:
+    """sum_j a_j T_j at the M+1 points cos(k pi/M), k = 0..M (descending x),
+    by one DCT-I of length M+1 of the first-kind coefficients a.
+
+    A degree above M is folded first: T_j(cos(k pi/M)) = cos(jk pi/M) has
+    period 2M in j and is even about j = M, so a_j moves to j mod 2M,
+    reflected to 2M - (j mod 2M) past M.
+    """
+    a = np.asarray(a, dtype=float)
+    j = np.arange(len(a)) % (2 * M)
+    y = np.bincount(np.minimum(j, 2 * M - j), weights=a, minlength=M + 1)
+    y[1:M] *= 0.5  # DCT-I weighs its inner inputs twice
+    return scipy.fft.dct(y, type=1)
+
+
 def gap_values(series: "ChebSeries", m: int, per_gap: int):
     """(x, values, noise): `series` at per_gap theta-uniform interior points of
     each of the m gaps of :func:`gap_moments`.
@@ -215,10 +232,7 @@ def gap_values(series: "ChebSeries", m: int, per_gap: int):
     M = m * (per_gap + 1)
     if len(a) > M:
         raise ValueError("series degree too high for the sample grid")
-    y = np.zeros(M + 1)
-    y[0] = a[0]
-    y[1 : len(a)] = 0.5 * a[1:]  # DCT-I weighs its inner inputs twice
-    on_grid = scipy.fft.dct(y, type=1)  # series(cos(k pi/M)), k = 0..M
+    on_grid = extrema_values(a, M)
     k = (m - np.arange(m)[:, None]) * (per_gap + 1) - np.arange(1, per_gap + 1)
     x = np.sin(np.pi * (M - 2 * k) / (2 * M))  # cos(k pi/M), symmetric as in build_grid
     j = np.arange(len(a))

@@ -191,6 +191,7 @@ def _cmd_approx(args) -> int:
     report["linf_error"] = Residual(f, out.polynomial).linf()
     report["near_best_factor"] = out.near_best_factor
     report["optimality"] = None if out.mu is None else float(np.max(np.abs(out.mu)))
+    report["duality_gap"] = out.duality_gap
     report["trace"] = _trace_json(out.trace)
     report["coefficients"] = [float(c) for c in out.polynomial.to_basis(Basis.SECOND).coeffs]
     if out.path is Path.CORRUPTED_POLYNOMIAL:

@@ -20,6 +20,7 @@ from .chebyshev import (
     build_grid,
     chebpts_first,
     coeffs_from_values,
+    extrema_values,
     secondkind_segment_integrals,
 )
 from .errors import DomainError
@@ -36,15 +37,18 @@ __all__ = [
     "segment_l1",
 ]
 
-_SUP_POINTS = np.cos(np.linspace(0.0, np.pi, 2049))
+_SUP_M = 2048
+_SUP_POINTS = np.cos(np.linspace(0.0, np.pi, _SUP_M + 1))  # cos(k pi/2048)
 
 
-def _sup_abs(fn, breakpoints) -> float:
-    """max |fn| over 2049 Chebyshev points, +-1, and every breakpoint with
-    its neighbours at +-1e-9 (so a jump cannot hide between samples)."""
+def _sup_abs(fn, breakpoints, on_sup_points) -> float:
+    """max |fn| over the 2049 Chebyshev points _SUP_POINTS, whose values
+    on_sup_points gives, and over +-1 and every breakpoint with its
+    neighbours at +-1e-9 (so a jump cannot hide between samples), where fn
+    is evaluated."""
     extra = [t + d for t in breakpoints for d in (-1e-9, 0.0, 1e-9)]
-    x = np.clip(np.concatenate([_SUP_POINTS, extra, [-1.0, 1.0]]), -1.0, 1.0)
-    return float(np.max(np.abs(fn(x))))
+    x = np.clip(np.concatenate([extra, [-1.0, 1.0]]), -1.0, 1.0)
+    return float(max(np.max(np.abs(on_sup_points)), np.max(np.abs(fn(x)))))
 
 
 def _checked(fn):
@@ -137,8 +141,14 @@ class FuncRep:
         return f
 
     @cached_property
+    def _sup_values(self) -> np.ndarray:
+        """f at the points cos(k pi/2048), k = 0..2048, that its scale and
+        every residual's scale sample."""
+        return self.eval(_SUP_POINTS)
+
+    @cached_property
     def value_scale(self) -> float:
-        return max(_sup_abs(self.eval, self.breakpoints), 1e-300)
+        return max(_sup_abs(self.eval, self.breakpoints, self._sup_values), 1e-300)
 
     @cached_property
     def proxy(self) -> PiecewiseCheb:
@@ -187,7 +197,9 @@ class Residual:
 
     @cached_property
     def scale(self) -> float:
-        return _sup_abs(self, self.f.breakpoints)
+        # the sample points are theta-uniform, so p on them is one DCT-I
+        p_vals = extrema_values(self.p.to_basis(Basis.FIRST).coeffs, _SUP_M)
+        return _sup_abs(self, self.f.breakpoints, self.f._sup_values - p_vals)
 
     @cached_property
     def eval_noise(self) -> float:

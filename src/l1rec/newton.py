@@ -2,8 +2,10 @@
 
 Pipeline: try the grid interpolant (optimal exactly when its residual
 vanishes or changes sign at all the interpolation nodes); otherwise solve a
-large weighted-l1 LP for an initial guess, exit early if the samples reveal
-a corrupted polynomial, refine the LP mesh around the residual roots, and
+weighted-l1 LP on 10(n+1) grid points for an initial guess; when its
+residual vanishes on most of those samples, run the corrupted-polynomial
+detector on the full default grid and exit early if it certifies a
+recovery; refine the LP mesh around the residual roots (20(n+1) points), and
 finish with Newton's method on the sign-integral optimality system
 
     mu_j(c) = integral sign(f - sum c_t U_t) U_j = 0,  j = 0..n.
@@ -53,6 +55,12 @@ EPRIME_TINY = 1e-13
 COND_LIMIT = 1e14
 MAX_HALVINGS = 30
 MAX_NEWTON_STEPS = 50
+# LP sizes per unknown (n+1): the start LP's grid, the refine LP's mesh, and
+# the clean start samples above which the full-grid detector runs (a smooth
+# target leaves about n+1, a corrupted polynomial nearly all of them)
+START_POINTS = 10
+REFINE_POINTS = 20
+DETECT_CLEAN = 2
 
 
 class Path(enum.Enum):
@@ -271,6 +279,9 @@ class BestL1Result:
     stopping_tol: float | None = None
     relaxed: bool = False
     report: object = None  # RecoveryReport on the corrupted-polynomial path
+    # |primal - dual objective| of the LP whose solution starts Newton (the
+    # detector LP on the corrupted-polynomial path; None on the shortcut)
+    duality_gap: float | None = None
 
 
 def best_l1(
@@ -310,23 +321,30 @@ def best_l1(
                 mu=mu,
             )
 
-    rep = recover_l1(f, n)
-    if rep.exact and not force_newton:
-        err = Residual(f, rep.recovered).l1()
-        return BestL1Result(
-            polynomial=rep.recovered,
-            path=Path.CORRUPTED_POLYNOMIAL,
-            trace=[(0, err, None)],
-            near_best_factor=None,
-            l1_error=err,
-            mu=None,
-            report=rep,
-        )
-    pts, wts = refine_mesh(Residual(f, rep.recovered).roots, rep.grid.size)
-    p0 = solve(WeightedL1Fit(pts, wts, f.eval(pts), n)).coefficients
+    rep = recover_l1(f, n, N=START_POINTS * (n + 1) - 1)
+    mesh_size = REFINE_POINTS * (n + 1)
+    if rep.grid.size + 1 - rep.k > DETECT_CLEAN * (n + 1):
+        # the fit vanishes on most samples, as on a corrupted polynomial:
+        # detect and certify on the full default grid
+        rep = recover_l1(f, n)
+        mesh_size = rep.grid.size
+        if rep.exact and not force_newton:
+            err = Residual(f, rep.recovered).l1()
+            return BestL1Result(
+                polynomial=rep.recovered,
+                path=Path.CORRUPTED_POLYNOMIAL,
+                trace=[(0, err, None)],
+                near_best_factor=None,
+                l1_error=err,
+                mu=None,
+                report=rep,
+                duality_gap=rep.duality_gap,
+            )
+    pts, wts = refine_mesh(Residual(f, rep.recovered).roots, mesh_size)
+    start = solve(WeightedL1Fit(pts, wts, f.eval(pts), n))
 
     f_l1 = f.l1_norm
-    state = make_state(f, p0, n=n)
+    state = make_state(f, start.coefficients, n=n)
     # stopping tolerance: the requested tol, relaxed by the proxy tolerance
     # when the representation of f is itself limited, and by the estimated
     # attainable mu accuracy (root-location noise)
@@ -349,4 +367,5 @@ def best_l1(
         mu=state.mu,
         stopping_tol=tol_abs,
         relaxed=relaxed,
+        duality_gap=start.duality_gap,
     )

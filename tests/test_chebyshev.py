@@ -10,6 +10,7 @@ from l1rec.chebyshev import (
     build_grid,
     chebvander_second,
     differentiate,
+    extrema_values,
     first_to_second,
     gap_integrals,
     gap_moments,
@@ -19,6 +20,7 @@ from l1rec.chebyshev import (
     secondkind_segment_integrals,
 )
 from l1rec.errors import TooLarge
+from l1rec.funcrep import FuncRep, Residual
 
 EPS = np.finfo(float).eps
 
@@ -293,6 +295,41 @@ class TestGapTransforms:
         rows = slice(None, None, 16)  # every 16th gap keeps the reference cheap
         ref = longdouble_clenshaw_second(p.coeffs, x[rows]).astype(float)
         assert np.max(np.abs(vals[rows] - ref)) <= noise < 1e-11
+
+
+class TestExtremaValues:
+    """A series at cos(k pi/M), k = 0..M, by one DCT-I, folded mod 2M when
+    its degree exceeds M: how Residual.scale evaluates p."""
+
+    @pytest.mark.parametrize("n", [0, 3, 7, 8, 9, 16, 17, 37])
+    def test_exact_points_with_folding(self, n):
+        M = 8
+        rng = np.random.default_rng(n)
+        p = u_series(rng.standard_normal(n + 1))
+        a = p.to_basis(Basis.FIRST).coeffs
+        pi = np.arccos(np.longdouble(-1.0))
+        x = np.cos(pi * np.arange(M + 1, dtype=np.longdouble) / M)
+        ref = longdouble_clenshaw_second(p.coeffs, x).astype(float)
+        assert np.max(np.abs(extrema_values(a, M) - ref)) <= 16 * EPS * np.sum(np.abs(a))
+
+    @pytest.mark.parametrize("n", [5, 2047, 2048, 2049, 5120])
+    def test_residual_scale_within_eval_noise(self, n):
+        # the interpolant of |x - 1/4| (asymmetric, so it has odd and even
+        # terms and a wrong fold past degree 2048 would show), as the
+        # shortcut's negligible test sees it:
+        # p at the 2049 sample points of Residual.scale, and the scale
+        # itself, against a long-double Clenshaw at the same points
+        g = lambda x: np.abs(x - 0.25)
+        f = FuncRep(g, breakpoints=[0.25])
+        p = interpolate_on_grid(g, n)
+        res = Residual(f, p)
+        x = np.cos(np.linspace(0.0, np.pi, 2049))
+        ref = longdouble_clenshaw_second(p.coeffs, x)
+        vals = extrema_values(p.to_basis(Basis.FIRST).coeffs, 2048)
+        assert np.max(np.abs(vals - ref.astype(float))) <= res.eval_noise
+        direct = np.array([-1.0, 0.25 - 1e-9, 0.25, 0.25 + 1e-9, 1.0])
+        e = np.concatenate([f(x) - ref, f(direct) - longdouble_clenshaw_second(p.coeffs, direct)])
+        assert abs(res.scale - float(np.max(np.abs(e)))) <= res.eval_noise
 
 
 class TestVandermondeGuard:

@@ -59,6 +59,7 @@ class TestApprox:
         # four U_4 roots with error (sqrt(5)-2)/2
         assert report["l1_error"] == pytest.approx((np.sqrt(5.0) - 2.0) / 2.0, abs=1e-9)
         assert report["path"] == "interpolant_shortcut"
+        assert report["duality_gap"] is None  # no LP on the shortcut
 
     def test_errdata(self, capsys, tmp_path):
         err = tmp_path / "resid.csv"
@@ -95,7 +96,7 @@ class TestApprox:
 
     def test_degree_beyond_the_lp_guard_exit3(self, capsys):
         # |x| at n = 20480 does not certify at the noise floor, and the LP
-        # start would need a 1,025,000 x 20481 Vandermonde (156 GiB)
+        # start would need a 204,810 x 20481 Vandermonde (31 GiB)
         code, report = run_json(
             ["approx", "--fn", "abs(x)", "--degree", "20480", "--no-timestamp"], capsys
         )
@@ -131,6 +132,15 @@ class TestApprox:
         assert report["path"] == "corrupted_polynomial"
         assert report["exact"] is True
         assert report["k"] == 76
+        assert 0.0 <= report["duality_gap"] <= 1e-8
+
+    def test_duality_gap_of_the_newton_start(self, capsys):
+        code, report = run_json(
+            ["approx", "--fn", "expsin10", "--degree", "10", "--no-timestamp"], capsys
+        )
+        assert code == 0
+        assert report["path"] == "newton_converged"
+        assert 0.0 <= report["duality_gap"] <= 1e-8
 
     def test_samples_file_rejected(self, capsys, tmp_path):
         path = tmp_path / "samples.csv"

@@ -4,7 +4,8 @@ Each stage is exercised through the function the pipeline calls: the
 certified interpolant through best_l1, the LP start through
 recover_l1(...).recovered, and the optimality integrals through
 make_state(...).mu. The shortcut's gap-sign test is also called on its own
-(_gap_signs), to show which residuals it accepts and rejects.
+(_gap_signs), to show which residuals it accepts and rejects. The LPs of
+the pipeline are observed by recording every call of lp.solve.
 """
 
 import tracemalloc
@@ -14,8 +15,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize
 
+from l1rec import lp, newton, recovery
+from l1rec.catalog import corrupted, resolve_function
 from l1rec.chebyshev import Basis, ChebSeries
-from l1rec.funcrep import FuncRep, Residual
+from l1rec.errors import StepFailure
+from l1rec.funcrep import Corruption, FuncRep, Residual
 from l1rec.newton import (
     Path,
     _gap_signs,
@@ -25,7 +29,7 @@ from l1rec.newton import (
     newton_step,
     refine_mesh,
 )
-from l1rec.recovery import recover_l1
+from l1rec.recovery import default_grid_size, recover_l1
 
 
 def u_series(c):
@@ -40,6 +44,13 @@ def t_basis(deg):
 
 def absx():
     return FuncRep(np.abs, breakpoints=[0.0], name="absx")
+
+
+def corrupted_u4_case():
+    """(f, n): a degree-4 polynomial plus 4 on [0.2, 0.23]."""
+    p = u_series([0.7, -0.2, 0.5, 0.0, 1.0])
+    corr = Corruption(intervals=((0.2, 0.23),), clean=p)
+    return corrupted(p, lambda x: np.full_like(x, 4.0), corr, "cp"), 4
 
 
 def quad_l1(f, p, points=()):
@@ -252,18 +263,10 @@ class TestBestL1:
         assert p(np.array([0.0]))[0] == pytest.approx(brute.x[0], abs=2e-5)
 
     def test_corrupted_polynomial_path(self):
-        p = u_series([0.7, -0.2, 0.5, 0.0, 1.0])
-        from l1rec.funcrep import Corruption
-
-        corr = Corruption(intervals=((0.2, 0.23),), clean=p)
-
-        def f(x):
-            x = np.asarray(x, float)
-            return p(x) + np.where(corr.contains(x), 4.0, 0.0)
-
-        out = best_l1(FuncRep(f, corruption=corr, name="cp"), 4)
+        f, n = corrupted_u4_case()
+        out = best_l1(f, n)
         assert out.path is Path.CORRUPTED_POLYNOMIAL
-        assert np.max(np.abs(out.polynomial.coeffs - p.coeffs)) < 1e-10
+        assert np.max(np.abs(out.polynomial.coeffs - f.corruption.clean.coeffs)) < 1e-10
         assert out.near_best_factor is None
 
     def test_exact_polynomial_short_path(self):
@@ -363,3 +366,136 @@ class TestShortcutCertificate:
             tracemalloc.stop()
         assert out.path is Path.INTERPOLANT_SHORTCUT
         assert peak < 32 * 2**20
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Every (problem, solution) that lp.solve returns, in call order."""
+    calls = []
+
+    def recording(problem):
+        solution = lp.solve(problem)
+        calls.append((problem, solution))
+        return solution
+
+    monkeypatch.setattr(newton, "solve", recording)
+    monkeypatch.setattr(recovery, "solve", recording)
+    return calls
+
+
+def corrupted_draws(count: int, seed: int):
+    """Criterion-3-style corrupted polynomials as FuncReps: a random clean
+    polynomial of degree n <= 10, plus a smooth corruption of 1 to 1e3 times
+    its sup norm on 1-3 intervals of total measure 0.9/(n+1)^2."""
+    rng = np.random.default_rng(seed)
+    xg = np.linspace(-1.0, 1.0, 2001)
+    draws = []
+    for i in range(count):
+        n = int(rng.integers(0, 11))
+        p = u_series(rng.standard_normal(n + 1))
+        sup_p = float(np.max(np.abs(p(xg))))
+        s = 0.9 / (n + 1) ** 2
+        pieces = int(rng.integers(1, 4))
+        parts = rng.dirichlet(np.ones(pieces)) * s
+        starts = np.sort(rng.uniform(-1.0, 1.0 - s, pieces))
+        intervals, cursor = [], -1.0
+        for start, width in zip(starts, parts):
+            lo = max(start, cursor + 1e-6)
+            intervals.append((lo, lo + width))
+            cursor = lo + width
+        amp = rng.uniform(1.0, 1e3) * rng.choice([-1.0, 1.0]) * sup_p
+        omega = lambda x, amp=amp: amp * (1.0 + 0.5 * np.cos(40.0 * x))
+        draws.append((corrupted(p, omega, Corruption(intervals, clean=p), f"draw{i}"), n))
+    return draws
+
+
+# k of each draw of corrupted_draws(40, 3) as the full-grid detector
+# certifies it; None where best_l1 raises StepFailure: the corruption is too
+# large to certify (measure 0.9 at n = 0, 0.1 at draw 37's n = 2), and
+# Newton from the fit finds no descent step, as on legendre8_corrupted
+DRAW_K = [
+    18, 32, 25, 16, 73, 14, 25, 20, None, 91, 167, 50, 15, 58, 14, None, 18, 31, 22, 40,
+    83, 45, 34, None, 146, 117, 48, 14, None, 25, 389, 94, 109, 20, None, 20, 133, None, 24, 21,
+]
+
+
+class TestLpStart:
+    """The start LP runs on 10(n+1) grid points and the refine LP on 20(n+1)
+    mesh points; the full default grid runs only as the corrupted-polynomial
+    detector, when the start fit vanishes on most of its samples."""
+
+    @pytest.mark.parametrize(
+        "spec, n, parent_l1",
+        [
+            ("expsin10", 10, 0.2661762357253954),
+            ("absx14", 20, 0.004521348450839419),
+            ("absx14", 50, 0.0008287935934827585),
+            ("abs(sin(30*x))", 10, 0.5191443229707596),
+            ("abs(sin(30*x))", 50, 0.3240972020970203),
+            ("abs(x-0.3)", 12, 0.010980774506665233),
+        ],
+    )
+    def test_lps_sized_by_degree(self, lp_calls, spec, n, parent_l1):
+        # parent_l1: the answer of the pipeline whose LPs ran on
+        # max(1000 + 50n, 5000) samples
+        f = resolve_function(spec)
+        out = best_l1(f, n)
+        assert out.path is Path.NEWTON_CONVERGED
+        sizes = [len(problem.points) for problem, _ in lp_calls]
+        assert len(sizes) == 2 and sizes[0] == 10 * (n + 1)  # start, then refine
+        assert max(sizes) <= 25 * (n + 1)
+        assert abs(out.l1_error - parent_l1) <= max(1e-10 * parent_l1, 1e-14 * f.l1_norm)
+        assert out.near_best_factor is not None
+        problem, start = lp_calls[-1]  # the refine LP, whose fit starts Newton
+        assert out.duality_gap == start.duality_gap
+        assert out.duality_gap <= 1e-8 * max(start.objective, problem.scale)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            lambda: (resolve_function("corrupted_t5"), 5),
+            corrupted_u4_case,
+        ],
+        ids=["corrupted_t5", "corrupted_u4"],
+    )
+    def test_detector_recovers(self, lp_calls, case):
+        f, n = case()
+        out = best_l1(f, n)
+        assert len(lp_calls) == 2
+        problem, detector = lp_calls[1]
+        assert len(problem.points) == default_grid_size(n) + 1
+        assert out.path is Path.CORRUPTED_POLYNOMIAL
+        today = recover_l1(case()[0], n)  # the full-grid detector on its own
+        assert (out.report.k, out.report.exact) == (today.k, True)
+        assert np.array_equal(out.report.recovered.coeffs, today.recovered.coeffs)
+        assert out.duality_gap == out.report.duality_gap == detector.duality_gap
+        assert out.duality_gap <= 1e-8 * max(detector.objective, problem.scale)
+
+    @pytest.mark.parametrize("n", [8, 10, 16])
+    def test_detector_keeps_legendre8_failure(self, lp_calls, n):
+        # the full-grid fit recovers P_8 but cannot certify it (RIP fails),
+        # and Newton from its residual, which vanishes on most of [-1, 1],
+        # finds no descent step: the same StepFailure as the fixed-size
+        # pipeline gave
+        with pytest.raises(StepFailure):
+            best_l1(resolve_function("legendre8_corrupted"), n)
+        assert len(lp_calls[1][0].points) == default_grid_size(n) + 1
+
+    def test_corrupted_draws_keep_their_path(self, lp_calls):
+        outcomes = []
+        for f, n in corrupted_draws(40, 3):
+            lp_calls.clear()
+            try:
+                out = best_l1(f, n)
+            except StepFailure:
+                outcomes.append(None)
+                continue
+            assert out.path is Path.CORRUPTED_POLYNOMIAL
+            assert len(lp_calls[1][0].points) == default_grid_size(n) + 1
+            outcomes.append(out.report.k)
+        assert outcomes == DRAW_K
+
+    def test_no_gap_on_the_shortcut(self, lp_calls):
+        out = best_l1(absx(), 8)
+        assert out.path is Path.INTERPOLANT_SHORTCUT
+        assert out.duality_gap is None and lp_calls == []
