@@ -94,7 +94,7 @@ def funcrep_from_expression(text: str) -> FuncRep:
     for arg in expr.kink_args:
         try:
             wrapped = Expression(text="<kink-arg>", _eval=arg, kink_args=())
-            breakpoints.extend(roots_in_interval(wrapped))
+            breakpoints.extend(roots_in_interval(FuncRep(wrapped).proxy))
         except SubdivisionLimit:
             continue  # splitting in the proxy will localize the kink instead
     return FuncRep(expr, breakpoints=breakpoints, name=text)

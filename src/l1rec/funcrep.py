@@ -1,7 +1,7 @@
 """Evaluable target functions, residuals against polynomials, and norms.
 
 A FuncRep bundles a raw evaluator on [-1, 1] with an adaptive piecewise
-Chebyshev proxy (used for derivatives and integrals), optional breakpoint
+Chebyshev proxy (used for derivatives, integrals and roots), optional breakpoint
 hints, and optional known-corruption metadata. A Residual is f minus a
 polynomial; it owns the rootfinding/sign-partition machinery that the L1
 norm, the optimality integrals, and the Newton iteration all share.
@@ -18,8 +18,6 @@ from .chebyshev import (
     Basis,
     ChebSeries,
     build_grid,
-    chebpts_first,
-    coeffs_from_values,
     extrema_values,
     secondkind_segment_integrals,
 )
@@ -216,15 +214,17 @@ class Residual:
         )
 
     @cached_property
+    def proxy(self) -> PiecewiseCheb:
+        """e as a piecewise polynomial: f's proxy minus p."""
+        return self.f.proxy.minus(self.p)
+
+    @cached_property
     def roots(self) -> np.ndarray:
+        """Roots of e, found on its proxy and verified on the evaluator."""
         if self.negligible:
             return np.empty(0)
         return roots_in_interval(
-            self,
-            breakpoints=self.f.breakpoints,
-            derivative=self.derivative,
-            scale=self.scale,
-            noise_floor=self.eval_noise,
+            self.proxy, check=self, scale=self.scale, noise_floor=self.eval_noise
         )
 
     @cached_property
@@ -261,13 +261,7 @@ class Residual:
         """||e||_inf from derivative roots, endpoints, and breakpoints."""
         cand = [np.array([-1.0, 1.0]), np.asarray(self.f.breakpoints)]
         if not self.negligible:
-            cand.append(
-                roots_in_interval(
-                    self.derivative,
-                    breakpoints=self.f.breakpoints,
-                    scale=None,
-                )
-            )
+            cand.append(roots_in_interval(self.proxy.derivative()))
         pts = np.concatenate([c for c in cand if c.size])
         return float(np.max(np.abs(self(pts))))
 
@@ -333,13 +327,9 @@ def norm(obj, which: str, *, N: int | None = None, tol: float | None = None) -> 
             return res.linf()
         if which == "L2":
             total = 0.0
-            for piece in res.f.proxy.pieces:
-                mid, half = 0.5 * (piece.a + piece.b), 0.5 * (piece.b - piece.a)
-                m = max(piece.series.degree, res.p.degree) + 1
-                pts = chebpts_first(m, -1.0, 1.0)
-                vals = piece.series(pts) - res.p(mid + half * pts)
-                a1 = coeffs_from_values(vals)
+            for piece in res.proxy.pieces:
+                a1 = piece.series.coeffs
                 sq = np.polynomial.chebyshev.chebmul(a1, a1)
-                total += half * ChebSeries(Basis.FIRST, sq).integrate()
+                total += 0.5 * (piece.b - piece.a) * ChebSeries(Basis.FIRST, sq).integrate()
             return float(np.sqrt(max(total, 0.0)))
     raise ValueError(f"unknown norm {which!r}")

@@ -18,7 +18,6 @@ from .chebyshev import Basis, ChebSeries, chebpts_first, coeffs_from_values
 from .errors import ExchangeStalled
 from .funcrep import FuncRep, Residual, abs_integral, disjoint_intervals
 from .newton import BestL1Result, best_l1
-from .rootfind import roots_in_interval
 
 __all__ = [
     "MinimaxResult",
@@ -217,17 +216,10 @@ def omega_measure(
     cstar = reference.error
     res = Residual(f, best.polynomial)
     half = 0.5 * cstar
-    crossings = []
-    for shift in (-half, half):
-        fn = lambda x, s=shift: res(x) + s
-        crossings.append(
-            roots_in_interval(
-                fn,
-                breakpoints=f.breakpoints,
-                derivative=res.derivative,
-                noise_floor=res.eval_noise,
-            )
-        )
+    # |e| = half where f - (p -+ half) = e +- half vanishes
+    crossings = [
+        Residual(f, best.polynomial - ChebSeries(Basis.SECOND, [s])).roots for s in (-half, half)
+    ]
     pts = np.unique(np.concatenate([[-1.0], *crossings, [1.0]]))
     mids = 0.5 * (pts[:-1] + pts[1:])
     inside = np.abs(res(mids)) >= half

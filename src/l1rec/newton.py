@@ -233,7 +233,7 @@ def refine_mesh(roots, N: int):
     return pts[order], wts[order]
 
 
-def newton_step(state: NewtonState, f: FuncRep, objective_slack: float | None = None) -> NewtonState:
+def newton_step(state: NewtonState, f: FuncRep) -> NewtonState:
     """One safeguarded Newton step on the optimality system."""
     n = state.coeffs.degree
     scale = max(f.value_scale, state.coeffs.coeff_max)
@@ -248,8 +248,8 @@ def newton_step(state: NewtonState, f: FuncRep, objective_slack: float | None = 
             H = H + (1e-10 * np.linalg.norm(H, 2)) * np.eye(n + 1)
             regularized = True
     delta = np.linalg.solve(H, state.mu)
-    if objective_slack is None:
-        objective_slack = 1e-14 * f.l1_norm
+    # accept a step that raises ||e||_1 by at most rounding
+    slack = 1e-14 * f.l1_norm
     step = 1.0
     for halving in range(MAX_HALVINGS + 1):
         cand = ChebSeries(Basis.SECOND, state.coeffs.coeffs + step * delta)
@@ -262,7 +262,7 @@ def newton_step(state: NewtonState, f: FuncRep, objective_slack: float | None = 
             used_identity=used_identity,
             regularized=regularized,
         )
-        if new.objective <= state.objective + objective_slack:
+        if new.objective <= state.objective + slack:
             return new
         step *= 0.5
     raise StepFailure(f"no acceptable step after {MAX_HALVINGS} halvings")
@@ -350,10 +350,9 @@ def best_l1(
     # attainable mu accuracy (root-location noise)
     proxy_term = 10.0 * f.proxy_tol * f_l1 if not f.proxy.resolved else 0.0
     tol_abs = max(tol * f_l1, proxy_term, 4.0 * state.mu_noise)
-    slack = 1e-14 * f_l1
     trace = [(0, state.objective, state.optimality)]
     while state.optimality >= tol_abs and state.k < MAX_NEWTON_STEPS:
-        state = newton_step(state, f, objective_slack=slack)
+        state = newton_step(state, f)
         trace.append((state.k, state.objective, state.optimality))
         tol_abs = max(tol_abs, 4.0 * state.mu_noise)
     converged = state.optimality < tol_abs

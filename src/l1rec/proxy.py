@@ -24,7 +24,7 @@ from .chebyshev import (
 )
 from .errors import NoConvergence
 
-__all__ = ["PiecewiseCheb", "Piece", "adaptive_proxy", "fit_on_interval"]
+__all__ = ["PiecewiseCheb", "Piece", "adaptive_proxy"]
 
 SPLIT_PIECE_DEGREE = 128
 MIN_PIECE_WIDTH = 1e-13
@@ -53,8 +53,6 @@ def fit_on_interval(
     *,
     max_degree: int,
     abs_floor: float = 0.0,
-    allow_plateau: bool = False,
-    plateau_rel: float = 0.0,
 ):
     """Adaptively fit evaluator on [a, b].
 
@@ -63,17 +61,10 @@ def fit_on_interval(
     False only when the degree cap was hit, in which case the best fit so
     far is returned untrimmed.
 
-    With allow_plateau=True, a coefficient tail that has stagnated at a tiny
-    relative level by the degree cap is treated as the evaluator's rounding
-    floor and accepted (needed near singular endpoints, where e.g. 1 - x*x
-    loses digits and no amount of degree helps). plateau_rel > 0 additionally
-    accepts a capped fit whose tail sits below plateau_rel * local max
-    coefficient AND whose checkpoint values are stable against the
-    half-degree fit (aliased unresolved oscillation also produces a smallish
-    pseudo-random tail, but it cannot reproduce the same values at two
-    sampling densities). The rootfinder uses this: a locally-resolved
-    representation cannot hide a sign change, and roots are re-polished on
-    the raw evaluator afterwards.
+    A coefficient tail that has stagnated at a tiny relative level by the
+    degree cap (at least 32 points) is treated as the evaluator's rounding
+    floor and accepted: near singular endpoints, e.g. 1 - x*x loses digits
+    and no amount of degree helps.
     """
     deg = min(16, max_degree)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -86,7 +77,6 @@ def fit_on_interval(
             check_f = np.asarray(evaluator(check_x), dtype=float)
         return np.max(np.abs(full(_CHECKPOINTS) - check_f)) <= 50.0 * cut + 4.0 * abs_floor
 
-    half_check = None
     while True:
         m = deg + 1
         pts = chebpts_first(m, a, b)
@@ -95,35 +85,22 @@ def fit_on_interval(
         cmax = float(np.max(np.abs(coeffs)))
         cut = max(tol * cmax, abs_floor)
         tail = float(np.max(np.abs(coeffs[-3:])))
+        full = ChebSeries(Basis.FIRST, coeffs)
         if cmax == 0.0 or tail <= cut:
-            full = ChebSeries(Basis.FIRST, coeffs)
             if cmax == 0.0 or verified(full, cut):
                 return full.trimmed(cut), True
-        if plateau_rel > 0.0 and max_degree // 2 <= deg < max_degree:
-            half_check = ChebSeries(Basis.FIRST, coeffs)(_CHECKPOINTS)
         if deg >= max_degree:
-            accept = False
-            if allow_plateau and m >= 32:
+            if m >= 32:
                 # Flat-noise detection: white rounding noise has the same
                 # median level in the last two coefficient quarters, while a
                 # genuine algebraic tail (kinks ~ k^-2, jumps ~ k^-1) decays
                 # across them by at least ~30%.
                 hi = float(np.median(np.abs(coeffs[-(m // 4):])))
                 lo = float(np.median(np.abs(coeffs[-(m // 2): -(m // 4)])))
-                accept = hi >= 0.75 * lo and hi <= 1e-5 * cmax
-            full = ChebSeries(Basis.FIRST, coeffs)
-            if not accept and plateau_rel > 0.0 and half_check is not None:
-                # resolved-at-noise acceptance: small relative tail plus
-                # agreement with the half-degree fit at the checkpoints
-                stable = float(np.max(np.abs(full(_CHECKPOINTS) - half_check)))
-                accept = tail <= max(plateau_rel * cmax, 4.0 * abs_floor) and (
-                    stable <= max(20.0 * tail, 8.0 * abs_floor)
-                )
-            if accept:
                 plateau_cut = max(2.0 * tail, cut)
-                if verified(full, plateau_cut):
+                if hi >= 0.75 * lo and hi <= 1e-5 * cmax and verified(full, plateau_cut):
                     return full.trimmed(plateau_cut), True
-            return ChebSeries(Basis.FIRST, coeffs), False
+            return full, False
         deg = min(2 * deg, max_degree)
 
 
@@ -216,6 +193,18 @@ class PiecewiseCheb:
             out.append(Piece(p.a, p.b, d, p.resolved))
         return PiecewiseCheb(out)
 
+    def minus(self, p: ChebSeries) -> "PiecewiseCheb":
+        """self - p, piece by piece. Each difference is a polynomial of
+        degree max(piece degree, deg p), so interpolating it at that many
+        plus one first-kind points is exact."""
+        out = []
+        for piece in self.pieces:
+            t = chebpts_first(max(piece.series.degree, p.degree) + 1, -1.0, 1.0)
+            vals = piece.series(t) - p(0.5 * (piece.a + piece.b) + 0.5 * (piece.b - piece.a) * t)
+            series = ChebSeries(Basis.FIRST, coeffs_from_values(vals))
+            out.append(Piece(piece.a, piece.b, series, piece.resolved))
+        return PiecewiseCheb(out)
+
 
 def _split_fit(evaluator, a, b, tol, abs_floor, budget) -> list:
     series, ok = fit_on_interval(
@@ -225,7 +214,6 @@ def _split_fit(evaluator, a, b, tol, abs_floor, budget) -> list:
         tol,
         abs_floor=abs_floor,
         max_degree=SPLIT_PIECE_DEGREE,
-        allow_plateau=True,
     )
     if ok:
         return [Piece(a, b, series, True)]

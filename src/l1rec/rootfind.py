@@ -1,25 +1,25 @@
 """Real rootfinding on [-1, 1] via colleague-matrix eigenvalues.
 
-Explicit series of degree <= 50 go straight to the colleague matrix; anything
-larger (or any black-box residual) is re-expanded adaptively on subintervals,
-bisecting whenever the local degree exceeds 50, with a hard budget of 2^12
-subintervals. Roots are Newton-polished, verified against the residual scale,
-and deduplicated at 1e-12 spacing.
+Roots are found on polynomials only: a Chebyshev series, or each piece of a
+piecewise one. A trimmed local series of degree <= 50 goes straight to the
+colleague matrix; a larger one is split off-centre and re-expanded exactly
+on each half (Boyd's recursive subdivision), within a hard budget of 2^12
+subintervals. Roots are Newton-polished and verified on the function the
+polynomial represents, and deduplicated at 1e-12 spacing.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .chebyshev import Basis, ChebSeries
+from .chebyshev import Basis, ChebSeries, chebpts_first, coeffs_from_values
 from .errors import SubdivisionLimit
-from .proxy import SPLIT_RATIO, PiecewiseCheb, fit_on_interval
+from .proxy import SPLIT_RATIO, Piece, PiecewiseCheb
 
 __all__ = ["colleague_roots", "roots_in_interval", "sign_changing"]
 
 COLLEAGUE_DEGREE = 50
 MAX_SUBINTERVALS = 2**12
-MIN_WIDTH = 1e-12
 DEDUP_TOL = 1e-12
 RESID_TOL = 1e-11
 
@@ -42,10 +42,9 @@ def colleague_roots(first_coeffs: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(M)
 
 
-def _real_roots_of_series(series: ChebSeries, scale: float) -> np.ndarray:
-    """Real roots of a (local-coordinate) series in [-1, 1], polished."""
-    first = series.to_basis(Basis.FIRST).trimmed(1e-15 * max(scale, series.coeff_max))
-    if first.trimmed_degree == 0:
+def _real_roots_of_series(first: ChebSeries) -> np.ndarray:
+    """Real roots in [-1, 1] of a trimmed first-kind series, polished."""
+    if first.degree == 0:
         return np.empty(0)
     ev = colleague_roots(first.coeffs)
     # imag tolerance 1e-6: eigenvalues of touching (even-multiplicity) roots
@@ -77,41 +76,25 @@ def _dedup(roots: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
     return np.array([float(np.mean(g)) for g in groups])
 
 
-def _recurse(fn, a, b, scale, budget, out, noise_floor=0.0):
-    """Collect roots of fn on [a, b]; fn takes global coordinates."""
+def _restrict(series: ChebSeries, lo: float, hi: float) -> ChebSeries:
+    """series on [lo, hi] within [-1, 1], re-expanded in the local
+    coordinate of [lo, hi]. Exact: a degree-d polynomial is resampled at
+    d + 1 first-kind points."""
+    t = chebpts_first(series.degree + 1, lo, hi)
+    return ChebSeries(Basis.FIRST, coeffs_from_values(np.asarray(series(t), dtype=float)))
+
+
+def _recurse(series, a, b, scale, budget, out, noise_floor):
+    """Collect the roots of series, which lives in the local coordinate of
+    [a, b], in global coordinates."""
     abs_floor = max(1e-15 * scale, noise_floor)
-    # plateau_rel: evaluation noise (cancellation near singular endpoints,
-    # Clenshaw rounding of high-degree subtrahends) can stall the tail above
-    # the strict tolerance at any subdivision depth; a piece resolved to 5%
-    # of its own local size whose fit is stable across degree doubling cannot
-    # hide a sign change, and every root is re-polished and verified against
-    # the raw evaluator afterwards
-    series, ok = fit_on_interval(
-        fn,
-        a,
-        b,
-        1e-13,
-        abs_floor=abs_floor,
-        max_degree=64,
-        allow_plateau=True,
-        plateau_rel=0.05,
-    )
-    if ok:
-        trimmed = series.trimmed(max(1e-14 * series.coeff_max, abs_floor))
-        if trimmed.coeff_max <= 4.0 * abs_floor:
-            return  # numerically zero piece: no isolated roots
-        if trimmed.trimmed_degree <= COLLEAGUE_DEGREE:
-            local = _real_roots_of_series(trimmed, scale)
-            out.extend(0.5 * (a + b) + 0.5 * (b - a) * local)
-            return
-    if b - a <= MIN_WIDTH:
-        fa, fb = float(fn(np.array([a]))[0]), float(fn(np.array([b]))[0])
-        if fa == 0.0:
-            out.append(a)
-        if fb == 0.0:
-            out.append(b)
-        if fa * fb < 0.0:
-            out.append(0.5 * (a + b))
+    series = series.to_basis(Basis.FIRST)
+    series = series.trimmed(max(1e-14 * series.coeff_max, abs_floor))
+    if series.coeff_max <= 4.0 * abs_floor:
+        return  # numerically zero piece: no isolated roots
+    if series.degree <= COLLEAGUE_DEGREE:
+        local = _real_roots_of_series(series)
+        out.extend(0.5 * (a + b) + 0.5 * (b - a) * local)
         return
     if budget[0] <= 0:
         raise SubdivisionLimit(
@@ -119,12 +102,13 @@ def _recurse(fn, a, b, scale, budget, out, noise_floor=0.0):
         )
     budget[0] -= 1
     mid = a + (b - a) * SPLIT_RATIO
-    _recurse(fn, a, mid, scale, budget, out, noise_floor)
-    _recurse(fn, mid, b, scale, budget, out, noise_floor)
+    split = 2.0 * SPLIT_RATIO - 1.0
+    _recurse(_restrict(series, -1.0, split), a, mid, scale, budget, out, noise_floor)
+    _recurse(_restrict(series, split, 1.0), mid, b, scale, budget, out, noise_floor)
 
 
 def _polish(fn, derivative, roots, lo, hi):
-    if roots.size == 0 or derivative is None:
+    if roots.size == 0:
         return roots
     r = roots.copy()
     fr = np.asarray(fn(r), dtype=float)
@@ -145,55 +129,49 @@ def roots_in_interval(
     a: float = -1.0,
     b: float = 1.0,
     *,
-    breakpoints=(),
-    derivative=None,
+    check=None,
     scale: float | None = None,
     noise_floor: float = 0.0,
 ) -> np.ndarray:
     """All real roots of obj in [a, b] subseteq [-1, 1], ascending, deduplicated.
 
-    obj may be a ChebSeries, a PiecewiseCheb, or a callable (vectorized).
-    noise_floor states the evaluation noise of one call of obj (for a
-    degree-n Clenshaw evaluation this is ~2n eps max|c|); it floors both the
-    local fitting tolerance and the final residual check, which otherwise
-    sit far below what the evaluator can deliver once the residual is small
-    and the degree is large. Each returned r satisfies
-    |obj(r)| <= max(RESID_TOL * scale, 8 * noise_floor).
+    obj is a ChebSeries or a PiecewiseCheb; each piece is searched
+    separately. check, when given, is the function that obj represents
+    (vectorized): the roots are Newton-polished on it, with obj's
+    derivative, and each returned r satisfies
+    |check(r)| <= max(RESID_TOL * scale, 8 * noise_floor). Without check,
+    obj itself is polished and checked. scale defaults to obj's largest
+    coefficient. noise_floor states the evaluation noise of one call of
+    check (for a degree-n Clenshaw evaluation this is ~2n eps max|c|); it
+    floors the coefficient trimming and the final residual check, which
+    otherwise sit far below what the evaluator can deliver once the
+    residual is small and the degree is large.
     """
     if not (-1.0 <= a <= b <= 1.0):
         raise ValueError("need -1 <= a <= b <= 1")
-
     if isinstance(obj, ChebSeries):
-        fn = obj
-        if scale is None:
-            scale = max(obj.coeff_max, 1e-300)
-        if derivative is None:
-            derivative = obj.derivative()
-        bps = []
+        pieces = [Piece(-1.0, 1.0, obj)]
     elif isinstance(obj, PiecewiseCheb):
-        fn = obj
-        if scale is None:
-            scale = max(obj.coeff_max, 1e-300)
-        if derivative is None:
-            derivative = obj.derivative()
-        bps = list(obj.breaks)
+        pieces = obj.pieces
     else:
-        fn = obj
-        if scale is None:
-            sample = np.asarray(fn(np.linspace(a, b, 257)), dtype=float)
-            scale = max(float(np.max(np.abs(sample))), 1e-300)
-        bps = []
-    bps = sorted({float(t) for t in list(breakpoints) + bps if a < t < b})
+        raise TypeError(f"need a ChebSeries or a PiecewiseCheb, not {type(obj).__name__}")
+    if scale is None:
+        scale = max(obj.coeff_max, 1e-300)
+    fn = obj if check is None else check
 
     out: list[float] = []
     budget = [MAX_SUBINTERVALS]
-    edges = [a] + bps + [b]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi > lo:
-            _recurse(fn, lo, hi, scale, budget, out, noise_floor)
+    for piece in pieces:
+        lo, hi = max(a, piece.a), min(b, piece.b)
+        if hi <= lo:
+            continue
+        series = piece.series
+        if lo > piece.a or hi < piece.b:
+            series = _restrict(series, *piece.local([lo, hi]))
+        _recurse(series, lo, hi, scale, budget, out, noise_floor)
 
     roots = _dedup(np.asarray(sorted(out)))
-    roots = _polish(fn, derivative, roots, a, b)
+    roots = _polish(fn, obj.derivative(), roots, a, b)
     roots = _dedup(roots)
     if roots.size:
         cut = max(RESID_TOL * scale, 8.0 * noise_floor)

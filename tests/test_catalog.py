@@ -37,6 +37,11 @@ class TestCatalog:
         f = resolve_function("sin(3*x)")
         assert f.eval(np.array([0.5]))[0] == pytest.approx(np.sin(1.5))
 
+    def test_nested_kink_breakpoints(self):
+        # the outer abs kinks at the roots +-0.5 of abs(x)-0.5, the inner at 0
+        f = funcrep_from_expression("abs(abs(x)-0.5)")
+        assert f.breakpoints == pytest.approx([-0.5, 0.0, 0.5], abs=1e-12)
+
 
 class TestFuncRepInvariants:
     @pytest.mark.parametrize("name", ["sqrt1mx2", "absx", "absx14", "expsin10"])

@@ -124,6 +124,14 @@ class TestApprox:
         assert code == 0
         assert report["path"] == "newton_converged"
 
+    def test_nested_kink_degree6(self, capsys):
+        # Newton needs the breakpoints +-0.5 of the inner kink as well as 0
+        code, report = run_json(
+            ["approx", "--fn", "abs(abs(x)-0.5)", "--degree", "6", "--no-timestamp"], capsys
+        )
+        assert code == 0
+        assert report["path"] == "newton_converged"
+
     def test_corrupted_path_fills_exact_and_k(self, capsys):
         code, report = run_json(
             ["approx", "--fn", "corrupted_t5", "--degree", "5", "--no-timestamp"], capsys

@@ -53,7 +53,7 @@ class TestMinimax:
         out = minimax(f, n, tol=1e-10)
         res = Residual(f, out.polynomial)
         cands = np.concatenate(
-            [[-1.0, 1.0], roots_in_interval(res.derivative, scale=None)]
+            [[-1.0, 1.0], roots_in_interval(res.proxy.derivative())]
         )
         vals = res(np.sort(cands))
         big = vals[np.abs(vals) >= out.error * (1 - 1e-7)]

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from l1rec.chebyshev import Basis, ChebSeries
+from l1rec.catalog import catalog_function
+from l1rec.chebyshev import Basis, ChebSeries, interpolate_on_grid
 from l1rec.funcrep import FuncRep, Residual
 from l1rec.rootfind import roots_in_interval, sign_changing
 
@@ -39,6 +40,18 @@ class TestSeriesRoots:
     def test_subinterval(self):
         r = roots_in_interval(t_basis(5), 0.0, 1.0)
         assert len(r) == 3  # positive roots of T_5 (x=cos(pi/10,3pi/10,5pi/10)>=0)
+        # above the colleague degree: restriction, then subdivision
+        for n in (51, 120, 200):
+            k = np.arange(n, 0, -1)
+            expect = np.cos((2 * k - 1) * np.pi / (2 * n))
+            expect = expect[expect >= 0.0]
+            r = roots_in_interval(t_basis(n), 0.0, 1.0)
+            assert len(r) == len(expect)
+            assert np.max(np.abs(r - expect)) < 1e-12
+
+    def test_rejects_a_callable(self):
+        with pytest.raises(TypeError):
+            roots_in_interval(np.sin)
 
     def test_double_root_near_dedup(self):
         # (x-0.3)^2 in the T basis: x^2 = (T_0+T_2)/2
@@ -95,6 +108,24 @@ class TestResidualRoots:
         f = FuncRep(lambda x: np.exp(x))
         res = Residual(f, ChebSeries(Basis.SECOND, [0.0]))
         assert res.roots.size == 0  # exp has no roots
+
+    @pytest.mark.parametrize("name, n", [("expsin10", 10), ("absx14", 20)])
+    def test_evaluator_calls(self, name, n):
+        # the roots come from f's proxy; the evaluator only polishes and
+        # verifies them: 1 start + 3 polish steps + 1 verification
+        base = catalog_function(name)
+        calls = []
+
+        def counted(x):
+            calls.append(np.size(x))
+            return base.eval(x)
+
+        f = FuncRep(counted, breakpoints=base.breakpoints, name=name)
+        res = Residual(f, interpolate_on_grid(f, n))
+        res.scale, f.proxy  # built before counting
+        calls.clear()
+        assert res.roots.size >= n + 1
+        assert len(calls) <= 5
 
 
 class TestSignChanging:
