@@ -264,6 +264,8 @@ def _cmd_localize(args) -> int:
                 "degree": n,
                 "l1_error": rep.l1_error,
                 "linf_error": rep.linf_error,
+                "linf_level": rep.linf_level,
+                "linf_max": rep.linf_max,
                 "omega_measure": rep.omega_measure,
                 "omega_bound": rep.omega_bound,
                 "omega_intervals": [[a, b] for a, b in rep.omega_intervals],

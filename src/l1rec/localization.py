@@ -2,15 +2,17 @@
 
 Omega_n is the set where the best-L1 error is at least half the minimax
 error; its measure is bounded by 2 ||f - p^L1||_1 / ||f - p^Linf||_inf. The
-minimax reference polynomial comes from a Remez exchange whose extrema are
-located through derivative rootfinding on the residual (robust for kinks and
-endpoint singularities), with the polynomial carried barycentrically on the
-reference and converted to a Chebyshev series each iteration.
+minimax reference polynomial comes from a Remez exchange. Its extrema are
+taken from a composite grid and polished by one golden-section search run on
+every sign run of the residual at once, so each step is one vectorized
+residual evaluation and no derivative is needed (robust for kinks and endpoint
+singularities). The polynomial is carried barycentrically on the reference
+and converted to a Chebyshev series each iteration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,10 +41,16 @@ MAX_EXCHANGES = 100
 
 @dataclass(frozen=True, eq=False)
 class MinimaxResult:
+    """The minimax error lies in [level, max_error]: the reference level |h|
+    bounds it from below, the largest located extremum from above; error is
+    their midpoint."""
+
     polynomial: ChebSeries
     error: float
     reference: np.ndarray
     iterations: int
+    level: float
+    max_error: float
 
 
 def _bary_weights(x: np.ndarray) -> np.ndarray:
@@ -74,17 +82,39 @@ def _series_from_bary(nodes, vals, w, n: int) -> ChebSeries:
     return ChebSeries(Basis.FIRST, coeffs_from_values(_bary_eval(pts, nodes, vals, w)))
 
 
+_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max(g, a, b, xtol):
+    """Golden-section maximization of the vectorized g on every bracket
+    [a_i, b_i] at once, each step one call of g on all brackets, until
+    b - a <= xtol on every bracket. Returns the better interior point of
+    each bracket and g there."""
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    gc, gd = g(c), g(d)
+    while np.any(b - a > xtol):
+        left = gc > gd  # the maximum lies in [a, d], else in [c, b]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        kept, g_kept = np.where(left, c, d), np.where(left, gc, gd)
+        new = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
+        g_new = g(new)
+        c, gc = np.where(left, new, kept), np.where(left, g_new, g_kept)
+        d, gd = np.where(left, kept, new), np.where(left, g_kept, g_new)
+    better = gc >= gd
+    return np.where(better, c, d), np.where(better, gc, gd)
+
+
 def _alternating_extrema(res: Residual, ref: np.ndarray):
     """One extremum candidate per sign run of the residual.
 
     Candidates come from a composite grid (Chebyshev-distributed points in
-    each gap of the current reference, plus endpoints and breakpoints), the
-    best point of each sign run then polished by bounded scalar maximization
-    of the signed residual. Avoids derivative rootfinding entirely, which
-    matters for targets with endpoint singularities.
+    each gap of the current reference, plus endpoints and breakpoints). The
+    best point of each sign run is then polished by maximizing the signed
+    residual over its grid neighbours' bracket, all runs in lockstep
+    (_golden_max), and kept when polishing does not beat it. Avoids
+    derivative rootfinding entirely, which matters for targets with endpoint
+    singularities.
     """
-    from scipy.optimize import minimize_scalar
-
     gaps = np.unique(
         np.concatenate([[-1.0], ref, [1.0], np.asarray(res.f.breakpoints)])
     )
@@ -101,23 +131,15 @@ def _alternating_extrema(res: Residual, ref: np.ndarray):
             if signs[start] != 0:
                 runs.append((start, i))
             start = i
+    j = np.array([lo + int(np.argmax(np.abs(vals[lo:hi]))) for lo, hi in runs], dtype=int)
+    s = signs[j]
+    a = grid[np.maximum(j - 1, 0)]
+    b = grid[np.minimum(j + 1, len(grid) - 1)]
+    xs, gs = _golden_max(lambda t: s * res(t), a, b, np.maximum(1e-14, 1e-12 * (b - a)))
+    better = gs > s * vals[j]
+    xs, vs = np.where(better, xs, grid[j]), np.where(better, s * gs, vals[j])
     keep_x, keep_v = [], []
-    for lo, hi in runs:
-        seg = slice(lo, hi)
-        j = lo + int(np.argmax(np.abs(vals[seg])))
-        s = signs[j]
-        a = grid[max(j - 1, 0)]
-        b = grid[min(j + 1, len(grid) - 1)]
-        xi, vi = grid[j], vals[j]
-        if b > a:
-            opt = minimize_scalar(
-                lambda t: -s * float(res(np.array([t]))[0]),
-                bounds=(a, b),
-                method="bounded",
-                options={"xatol": max(1e-14, 1e-12 * (b - a))},
-            )
-            if -opt.fun > s * vi:
-                xi, vi = float(opt.x), s * -opt.fun
+    for xi, vi in zip(xs, vs):
         if keep_v and np.sign(vi) == np.sign(keep_v[-1]):
             if abs(vi) > abs(keep_v[-1]):
                 keep_x[-1], keep_v[-1] = xi, vi
@@ -133,7 +155,7 @@ class _DegenerateLevel(Exception):
     reference)."""
 
 
-def _remez(f: FuncRep, n: int, tol: float):
+def _remez(f: FuncRep, n: int, tol: float) -> MinimaxResult:
     m = n + 2
     ref = np.cos(np.pi * np.arange(m - 1, -1, -1) / (m - 1))
     sigma = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
@@ -144,13 +166,13 @@ def _remez(f: FuncRep, n: int, tol: float):
         p = _series_from_bary(ref, fx - sigma * h, w, n)
         res = Residual(f, p)
         if res.negligible:
-            return p, 0.0, ref, it
+            return MinimaxResult(p, 0.0, ref, it, 0.0, 0.0)
         if abs(h) <= 1e-13 * f.value_scale:
             raise _DegenerateLevel
         ex, ev = _alternating_extrema(res, ref)
         errmax = float(np.max(np.abs(ev)))
         if errmax - abs(h) <= tol * errmax:
-            return p, 0.5 * (errmax + abs(h)), ref, it
+            return MinimaxResult(p, 0.5 * (errmax + abs(h)), ref, it, abs(h), errmax)
         if len(ex) < m:
             raise ExchangeStalled(
                 f"found {len(ex)} alternating extrema, need {m} (iteration {it})"
@@ -171,30 +193,37 @@ def minimax(f: FuncRep, n: int, tol: float = 1e-9) -> MinimaxResult:
     """Remez exchange for the degree <= n minimax approximant.
 
     The returned error is certified within tol relatively: the reference
-    level |h| is a lower bound and the located extremum a matching upper
-    bound at convergence. Symmetric targets whose equioscillation count is
+    level |h| (`level`) is a lower bound and the largest located extremum
+    (`max_error`) a matching upper bound at convergence, and `error` is
+    their midpoint. Symmetric targets whose equioscillation count is
     n+3 (even f with even n, odd f with odd n) degenerate the n+2-point
     level to h = 0; the exchange then reruns one degree higher, where the
     best polynomial is the same, and truncates the zero leading coefficient.
+    n must be a non-negative integer and tol lie in (0, 1).
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"degree must be a non-negative integer, got {n!r}")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
     try:
-        p, err, ref, it = _remez(f, n, tol)
-        return MinimaxResult(p, err, ref, it)
+        return _remez(f, n, tol)
     except _DegenerateLevel:
-        p, err, ref, it = _remez(f, n + 1, tol)
-        first = p.to_basis(Basis.FIRST)
+        out = _remez(f, n + 1, tol)
+        first = out.polynomial.to_basis(Basis.FIRST)
         if abs(first.coeffs[-1]) > 1e-10 * max(first.coeff_max, 1e-300):
             raise ExchangeStalled(
                 "level degenerated at n+2 points but the (n+1)-degree answer "
                 "is not degree-deficient"
             )
-        return MinimaxResult(ChebSeries(Basis.FIRST, first.coeffs[: n + 1]), err, ref, it)
+        return replace(out, polynomial=ChebSeries(Basis.FIRST, first.coeffs[: n + 1]))
 
 
 @dataclass(frozen=True, eq=False)
 class LocalizationReport:
     n: int
     linf_error: float
+    linf_level: float  # the minimax bracket [linf_level, linf_max] around linf_error
+    linf_max: float
     l1_error: float
     omega_measure: float
     omega_bound: float  # 2 l1_error / linf_error
@@ -235,6 +264,8 @@ def omega_measure(
     return LocalizationReport(
         n=n,
         linf_error=cstar,
+        linf_level=reference.level,
+        linf_max=reference.max_error,
         l1_error=best.l1_error,
         omega_measure=measure,
         omega_bound=2.0 * best.l1_error / cstar,

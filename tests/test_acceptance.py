@@ -5,8 +5,7 @@ Each criterion prints one PASS line when it holds. Criterion 7 checks the
 E_n = sin^2(pi/(2(n+3))) / cos(pi/(n+3)), a lower bound that only an optimal
 approximant attains. The ratio E_n / (pi^2/(4n^2)) rises to 1 like 1 - 6/n,
 and the slope of |Omega_n| is fitted over degrees where n |Omega_n| has
-settled near its limit. Criterion 11 is marked slow and excluded from the
-default run.
+settled near its limit; a separate test repeats both checks at larger degree.
 """
 
 import numpy as np
@@ -240,6 +239,30 @@ def test_criterion_07_abs_omega_slope(abs_omegas):
     )
 
 
+def test_criterion_07_abs_high_degree(abs_omegas):
+    f = catalog_function("absx")
+    bests = {n: best_l1(f, n) for n in (640, 1280)}
+    for n, out in bests.items():
+        assert out.path is Path.INTERPOLANT_SHORTCUT, f"path at n={n}: {out.path}"
+        exact = abs_best_l1_error(n)
+        assert out.l1_error == pytest.approx(exact, rel=1e-9), (
+            f"l1_error {out.l1_error:.12e} at n={n} differs from the optimum {exact:.12e}"
+        )
+        ratio = out.l1_error / (np.pi**2 / (4.0 * n * n))
+        assert 1.0 - 6.0 / n <= ratio <= 1.0, f"ratio {ratio:.5f} at n={n} outside [1-6/n, 1]"
+    omegas = {n: abs_omegas[n] for n in (160, 320)}
+    omegas[640] = omega_measure(f, 640, best=bests[640])
+    for n, rep in omegas.items():
+        assert rep.omega_measure <= rep.omega_bound, f"|Omega_{n}| exceeds its bound"
+    ns = sorted(omegas)
+    slope = experiments.loglog_slope(ns, [omegas[n].omega_measure for n in ns])
+    assert -1.2 <= slope <= -0.8, f"log-log slope of |Omega_n| over n in {ns} is {slope:.3f}"
+    passline(
+        f"criterion 7c: l1_error = closed form and ratio in [1-6/n, 1] at n in (640, 1280), "
+        f"slope {slope:.2f} in [-1.2,-0.8] over {ns}"
+    )
+
+
 # -- criterion 8: near-best certificate on every converged run ----------------
 
 def test_criterion_08_near_best_certificate(lp_convergence, sqrt_runs, abs_runs, sqrt_omegas, abs_omegas):
@@ -316,9 +339,8 @@ def test_criterion_10_legendre8_regimes():
     )
 
 
-# -- criterion 11 (slow): sqrt omega at n=1000 --------------------------------
+# -- criterion 11: sqrt omega at n=1000 ---------------------------------------
 
-@pytest.mark.slow
 def test_criterion_11_sqrt_omega_n1000():
     f = catalog_function("sqrt1mx2")
     rep = omega_measure(f, 1000, minimax_tol=1e-7)

@@ -211,6 +211,15 @@ class TestRecover:
 
 
 class TestLocalize:
+    def test_runs_carry_the_minimax_bracket(self, capsys):
+        code, report = run_json(
+            ["localize", "--fn", "absx", "--degrees", "2,5", "--no-timestamp"], capsys
+        )
+        assert code == 0
+        for run in report["runs"]:
+            assert 0.0 < run["linf_level"] <= run["linf_error"] <= run["linf_max"]
+            assert run["linf_max"] - run["linf_level"] <= 1e-9 * run["linf_max"]
+
     def test_failure_keeps_completed_runs(self, capsys, monkeypatch):
         from l1rec import cli
         from l1rec.errors import ExchangeStalled

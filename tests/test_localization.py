@@ -1,5 +1,7 @@
 """Minimax exchange, Omega_n measurement, case studies, concentration bounds."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,7 @@ class TestMinimax:
         p = ChebSeries(Basis.SECOND, [0.4, 1.0, -0.3])
         out = minimax(FuncRep(p, name="p"), 4)
         assert out.error == 0.0
+        assert (out.level, out.max_error) == (0.0, 0.0)
 
     def test_equioscillation(self):
         f = FuncRep(np.exp)
@@ -65,6 +68,48 @@ class TestMinimax:
         # Bernstein-constant ballpark at a kink: error ~ beta/n
         out = minimax(FuncRep(np.abs, breakpoints=[0.0]), 20, tol=1e-8)
         assert 0.2 / 20 < out.error < 0.4 / 20
+
+    @pytest.mark.parametrize(
+        "f, n",
+        [
+            (FuncRep(np.abs, breakpoints=[0.0], name="absx"), 20),
+            (FuncRep(np.exp, name="exp"), 5),
+            *[(FuncRep(t_basis(n + 1), name="T"), n) for n in (1, 3, 6)],
+        ],
+        ids=["absx-20", "exp-5", "T2-1", "T4-3", "T7-6"],
+    )
+    def test_level_bracket(self, f, n):
+        tol = 1e-9
+        out = minimax(f, n, tol=tol)
+        assert out.level <= out.error <= out.max_error
+        assert out.max_error - out.level <= tol * out.max_error
+
+    @pytest.mark.parametrize(
+        "n, tol",
+        [(-1, 1e-9), (2.5, 1e-9), (3.0, 1e-9), (True, 1e-9),
+         (4, 0.0), (4, float("nan")), (4, 1.0), (4, -1e-3)],
+    )
+    def test_rejects_bad_input(self, n, tol):
+        f = FuncRep(np.abs, breakpoints=[0.0], name="absx")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                minimax(f, n, tol=tol)
+
+    def test_lockstep_polish_evaluator_calls(self):
+        # every polishing step evaluates f once on all sign runs together
+        calls = 0
+
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return np.abs(x)
+
+        f = FuncRep(counted, breakpoints=[0.0], name="absx")
+        f.proxy, f.value_scale
+        calls = 0
+        out = minimax(f, 80)
+        assert calls <= 70 * out.iterations
 
 
 class TestOmegaMeasure:
