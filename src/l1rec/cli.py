@@ -192,6 +192,7 @@ def _cmd_approx(args) -> int:
     report["near_best_factor"] = out.near_best_factor
     report["optimality"] = None if out.mu is None else float(np.max(np.abs(out.mu)))
     report["duality_gap"] = out.duality_gap
+    report["lp_points"] = out.lp_points
     report["trace"] = _trace_json(out.trace)
     report["coefficients"] = [float(c) for c in out.polynomial.to_basis(Basis.SECOND).coeffs]
     if out.path is Path.CORRUPTED_POLYNOMIAL:
@@ -237,6 +238,7 @@ def _cmd_recover(args) -> int:
     report["exact"] = rep.exact
     report["k"] = rep.k
     report["duality_gap"] = rep.duality_gap
+    report["lp_points"] = rep.lp_points
     report["l1_error"] = float(np.dot(rep.grid.weights, np.abs(rep.residuals)))
     report["linf_error"] = float(np.max(np.abs(rep.residuals)))
     report["corrupted_indices"] = [int(i) for i in rep.corrupted_indices[:1000]]

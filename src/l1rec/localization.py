@@ -198,7 +198,9 @@ def minimax(f: FuncRep, n: int, tol: float = 1e-9) -> MinimaxResult:
     their midpoint. Symmetric targets whose equioscillation count is
     n+3 (even f with even n, odd f with odd n) degenerate the n+2-point
     level to h = 0; the exchange then reruns one degree higher, where the
-    best polynomial is the same, and truncates the zero leading coefficient.
+    best polynomial is the same, and truncates the (numerically zero)
+    leading coefficient, adding its magnitude to max_error so that the
+    bracket holds for the returned polynomial.
     n must be a non-negative integer and tol lie in (0, 1).
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
@@ -210,12 +212,21 @@ def minimax(f: FuncRep, n: int, tol: float = 1e-9) -> MinimaxResult:
     except _DegenerateLevel:
         out = _remez(f, n + 1, tol)
         first = out.polynomial.to_basis(Basis.FIRST)
-        if abs(first.coeffs[-1]) > 1e-10 * max(first.coeff_max, 1e-300):
+        cut = float(abs(first.coeffs[-1]))
+        if cut > 1e-10 * max(first.coeff_max, 1e-300):
             raise ExchangeStalled(
                 "level degenerated at n+2 points but the (n+1)-degree answer "
                 "is not degree-deficient"
             )
-        return replace(out, polynomial=ChebSeries(Basis.FIRST, first.coeffs[: n + 1]))
+        # |T_{n+1}| <= 1, so cutting the leading term moves the residual by
+        # at most |cut|: widen the upper end of the bracket by it
+        max_error = out.max_error + cut
+        return replace(
+            out,
+            polynomial=ChebSeries(Basis.FIRST, first.coeffs[: n + 1]),
+            error=0.5 * (out.level + max_error),
+            max_error=max_error,
+        )
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,9 +4,12 @@ Pipeline: try the grid interpolant (optimal exactly when its residual
 vanishes or changes sign at all the interpolation nodes); otherwise solve a
 weighted-l1 LP on 10(n+1) grid points for an initial guess; when its
 residual vanishes on most of those samples, run the corrupted-polynomial
-detector on the full default grid and exit early if it certifies a
-recovery; refine the LP mesh around the residual roots (20(n+1) points), and
-finish with Newton's method on the sign-integral optimality system
+detector, recover_l1 on the full default grid, and exit early if it
+certifies a recovery (its LP runs on about 20(n+1) strided grid samples, and on
+the full grid only when that fit's refit is not exact); refine the LP mesh
+around the residual roots (20(n+1) points, or the full grid's size after the
+detector), and finish with Newton's method on the sign-integral optimality
+system
 
     mu_j(c) = integral sign(f - sum c_t U_t) U_j = 0,  j = 0..n.
 
@@ -280,8 +283,10 @@ class BestL1Result:
     relaxed: bool = False
     report: object = None  # RecoveryReport on the corrupted-polynomial path
     # |primal - dual objective| of the LP whose solution starts Newton (the
-    # detector LP on the corrupted-polynomial path; None on the shortcut)
+    # detector's kept LP on the corrupted-polynomial path; None on the
+    # shortcut), and that LP's sample count
     duality_gap: float | None = None
+    lp_points: int | None = None
 
 
 def best_l1(
@@ -339,6 +344,7 @@ def best_l1(
                 mu=None,
                 report=rep,
                 duality_gap=rep.duality_gap,
+                lp_points=rep.lp_points,
             )
     pts, wts = refine_mesh(Residual(f, rep.recovered).roots, mesh_size)
     start = solve(WeightedL1Fit(pts, wts, f.eval(pts), n))
@@ -367,4 +373,5 @@ def best_l1(
         stopping_tol=tol_abs,
         relaxed=relaxed,
         duality_gap=start.duality_gap,
+        lp_points=len(pts),
     )

@@ -15,7 +15,7 @@ from math import comb
 import numpy as np
 
 from .chebyshev import Basis, ChebSeries, ChebGrid, build_grid, chebvander_second
-from .errors import DomainError, NotFound, TooLarge
+from .errors import DomainError, NotFound, SolverFailure, TooLarge
 from .funcrep import FuncRep
 from .lp import WeightedL1Fit, solve
 
@@ -39,6 +39,7 @@ __all__ = [
 
 ENUMERATION_GUARD = 10**6
 DETECT_TOL = 1e-11  # residual > DETECT_TOL * max|f(x_j)| marks a sample corrupted
+CANDIDATE_POINTS = 20  # strided LP samples per unknown (n+1) that propose the candidate
 
 
 def default_grid_size(n: int) -> int:
@@ -124,7 +125,10 @@ class RecoveryReport:
     residual_max_off_support: float
     certificate: RecoveryCertificate
     exact: bool
-    duality_gap: float  # |primal - dual objective| of the weighted-l1 LP
+    # |primal - dual objective| of the weighted-l1 LP whose fit was kept: the
+    # strided candidate LP when its refit is exact, else the full-grid LP
+    duality_gap: float
+    lp_points: int  # the sample count of that LP
     grid: ChebGrid = field(repr=False)
     residuals: np.ndarray = field(repr=False)
 
@@ -156,21 +160,29 @@ def _grid_samples(source, N: int | None, n: int):
     return grid, samples
 
 
-def recover_l1(source, n: int, N: int | None = None) -> RecoveryReport:
-    """l1 recovery of a (possibly corrupted) polynomial from grid samples.
+@dataclass(frozen=True, eq=False)
+class _Fit:
+    duality_gap: float
+    lp_points: int
+    coeffs: np.ndarray
+    residuals: np.ndarray
+    flagged: np.ndarray
+    residual_off: float
+    bound: RipBound
+    exact: bool
 
-    source: FuncRep, callable, or an array of N+1 samples taken on
-    build_grid(N). Solves the weighted l1 fit, then refits by least squares
-    on the detected-clean samples (up to 3 passes) so the recovered
-    coefficients reach working precision rather than LP-tolerance precision.
+
+def _fit_and_certify(grid: ChebGrid, samples, n: int, scale: float, stride: int) -> _Fit:
+    """Solve the weighted l1 fit on every stride-th sample (weights scaled by
+    stride), refit it by least squares on the samples it leaves clean (up to
+    3 passes) so the coefficients reach working precision rather than
+    LP-tolerance precision, and certify the refit on all N+1 samples: exact
+    when it vanishes off the k flagged samples and N+1 > 6(n+1)k - 1, which
+    makes it the unique l1 minimizer on the grid however the fit was found.
     """
-    grid, samples = _grid_samples(source, N, n)
     N = grid.size
-    if n > N:
-        raise ValueError("need n <= N")
-    scale = max(float(np.max(np.abs(samples))), 1e-300)
-
-    sol = solve(WeightedL1Fit(grid.points, grid.weights, samples, n))
+    idx = np.arange(stride // 2, N + 1, stride)
+    sol = solve(WeightedL1Fit(grid.points[idx], grid.weights[idx] * stride, samples[idx], n))
     U = chebvander_second(grid.points, n)
     coeffs = sol.coefficients.coeffs
     resid = samples - U @ coeffs
@@ -189,10 +201,49 @@ def recover_l1(source, n: int, N: int | None = None) -> RecoveryReport:
         flagged = new_flagged
 
     flagged = np.abs(resid) > DETECT_TOL * scale
-    k = int(np.count_nonzero(flagged))
     off = resid[~flagged]
     resid_off = float(np.max(np.abs(off))) if off.size else 0.0
-    bound = rip_bound(N, n, k)
+    bound = rip_bound(N, n, int(np.count_nonzero(flagged)))
+    return _Fit(
+        duality_gap=sol.duality_gap,
+        lp_points=len(idx),
+        coeffs=coeffs,
+        residuals=resid,
+        flagged=flagged,
+        residual_off=resid_off,
+        bound=bound,
+        exact=resid_off <= DETECT_TOL * scale and bound.sufficient,
+    )
+
+
+def recover_l1(source, n: int, N: int | None = None) -> RecoveryReport:
+    """l1 recovery of a (possibly corrupted) polynomial from grid samples.
+
+    source: FuncRep, callable, or an array of N+1 samples taken on
+    build_grid(N). Certificate-first: the weighted l1 fit is solved on every
+    stride-th sample, stride = (N+1) // (CANDIDATE_POINTS (n+1)), and its
+    refit is certified on all N+1 samples (see _fit_and_certify). Only when
+    that refit is not exact, or the strided LP fails, is the fit solved on
+    the full grid and refit the same way; a grid with stride < 2 goes
+    straight to the full-grid LP. duality_gap and lp_points describe the LP
+    whose fit was kept.
+    """
+    grid, samples = _grid_samples(source, N, n)
+    N = grid.size
+    if n > N:
+        raise ValueError("need n <= N")
+    scale = max(float(np.max(np.abs(samples))), 1e-300)
+    stride = (N + 1) // (CANDIDATE_POINTS * (n + 1))
+    fit = None
+    if stride >= 2:
+        try:
+            fit = _fit_and_certify(grid, samples, n, scale, stride)
+        except SolverFailure:
+            pass  # the full-grid LP decides
+    if fit is None or not fit.exact:
+        fit = _fit_and_certify(grid, samples, n, scale, 1)
+    flagged, bound = fit.flagged, fit.bound
+    k = int(np.count_nonzero(flagged))
     edges = _cells(grid)
     measure_est = float(np.sum((edges[1:] - edges[:-1])[flagged]))
 
@@ -221,17 +272,17 @@ def recover_l1(source, n: int, N: int | None = None) -> RecoveryReport:
             thr = exact_recovery_threshold(n, "centered", zeta=zeta)
             cert_kwargs.update(centered_condition=s < thr, centered_threshold=thr)
 
-    exact = resid_off <= DETECT_TOL * scale and bound.sufficient
     return RecoveryReport(
-        recovered=ChebSeries(Basis.SECOND, coeffs),
+        recovered=ChebSeries(Basis.SECOND, fit.coeffs),
         corrupted_indices=np.flatnonzero(flagged),
         k=k,
-        residual_max_off_support=resid_off,
+        residual_max_off_support=fit.residual_off,
         certificate=RecoveryCertificate(**cert_kwargs),
-        exact=exact,
-        duality_gap=sol.duality_gap,
+        exact=fit.exact,
+        duality_gap=fit.duality_gap,
+        lp_points=fit.lp_points,
         grid=grid,
-        residuals=resid,
+        residuals=fit.residuals,
     )
 
 

@@ -43,7 +43,8 @@ def colleague_roots(first_coeffs: np.ndarray) -> np.ndarray:
 
 
 def _real_roots_of_series(first: ChebSeries) -> np.ndarray:
-    """Real roots in [-1, 1] of a trimmed first-kind series, polished."""
+    """Real roots in [-1, 1] of a trimmed first-kind series, unpolished:
+    roots_in_interval polishes all of them together on the checked function."""
     if first.degree == 0:
         return np.empty(0)
     ev = colleague_roots(first.coeffs)
@@ -51,16 +52,7 @@ def _real_roots_of_series(first: ChebSeries) -> np.ndarray:
     # split by ~sqrt(backward error), often into conjugate pairs; genuinely
     # complex pairs admitted here are culled by the residual check later
     keep = (np.abs(ev.imag) <= 1e-6) & (ev.real >= -1.0 - 1e-8) & (ev.real <= 1.0 + 1e-8)
-    roots = np.clip(ev.real[keep], -1.0, 1.0)
-    if roots.size == 0:
-        return roots
-    dseries = first.derivative()
-    for _ in range(3):
-        fr = first(roots)
-        dfr = dseries(roots)
-        step = np.where(np.abs(dfr) > 1e-300, fr / np.where(dfr == 0.0, 1.0, dfr), 0.0)
-        roots = np.clip(roots - step, -1.0, 1.0)
-    return roots
+    return np.clip(ev.real[keep], -1.0, 1.0)
 
 
 def _dedup(roots: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:

@@ -60,6 +60,7 @@ class TestApprox:
         assert report["l1_error"] == pytest.approx((np.sqrt(5.0) - 2.0) / 2.0, abs=1e-9)
         assert report["path"] == "interpolant_shortcut"
         assert report["duality_gap"] is None  # no LP on the shortcut
+        assert report["lp_points"] is None
 
     def test_errdata(self, capsys, tmp_path):
         err = tmp_path / "resid.csv"
@@ -141,6 +142,7 @@ class TestApprox:
         assert report["exact"] is True
         assert report["k"] == 76
         assert 0.0 <= report["duality_gap"] <= 1e-8
+        assert report["lp_points"] == 122  # the detector's strided LP certified it
 
     def test_duality_gap_of_the_newton_start(self, capsys):
         code, report = run_json(
@@ -149,6 +151,7 @@ class TestApprox:
         assert code == 0
         assert report["path"] == "newton_converged"
         assert 0.0 <= report["duality_gap"] <= 1e-8
+        assert 0 < report["lp_points"] <= 25 * 11  # the refine LP starts Newton
 
     def test_samples_file_rejected(self, capsys, tmp_path):
         path = tmp_path / "samples.csv"
@@ -167,6 +170,9 @@ class TestRecover:
         assert report["exact"] is True
         assert report["k"] > 0
         assert 0.0 <= report["duality_gap"] <= 1e-8
+        # every 41st of the 5000 default samples: the strided LP's fit was
+        # certified, so no full-grid LP ran
+        assert report["lp_points"] == 122
         t5 = np.zeros(6)
         t5[5] = 1.0
         from l1rec.chebyshev import first_to_second
@@ -190,6 +196,7 @@ class TestRecover:
         assert code == 0
         assert report["exact"] is True
         assert report["corrupted_indices"] == [11]
+        assert report["lp_points"] == 41  # 41 < 40(n+1): the full grid at once
 
     def test_bad_sample_grid_exit2(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"

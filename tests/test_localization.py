@@ -84,6 +84,22 @@ class TestMinimax:
         assert out.level <= out.error <= out.max_error
         assert out.max_error - out.level <= tol * out.max_error
 
+    def test_degenerate_bracket_covers_the_cut_coefficient(self):
+        # even f, even n: the level degenerates and the exchange reruns at
+        # degree n+1, where the 9e-14 T_21 term survives as the leading
+        # coefficient that minimax cuts; the returned polynomial's residual
+        # is larger by up to that much, and max_error has to cover it
+        n = 20
+        lead = np.zeros(n + 2)
+        lead[-1] = 9e-14
+        fn = lambda x: np.abs(x) + np.polynomial.chebyshev.chebval(x, lead)
+        out = minimax(FuncRep(fn, breakpoints=[0.0]), n)
+        assert out.polynomial.degree == n
+        x = np.cos(np.linspace(0.0, np.pi, 200001))
+        dense = float(np.max(np.abs(fn(x) - out.polynomial(x))))
+        assert out.level <= dense <= out.max_error
+        assert out.error == 0.5 * (out.level + out.max_error)
+
     @pytest.mark.parametrize(
         "n, tol",
         [(-1, 1e-9), (2.5, 1e-9), (3.0, 1e-9), (True, 1e-9),

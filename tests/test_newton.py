@@ -419,10 +419,20 @@ DRAW_K = [
 ]
 
 
+def strided_size(n: int) -> int:
+    """Sample count of the detector's candidate LP: every stride-th sample of
+    the default grid, stride = (N+1) // (CANDIDATE_POINTS (n+1))."""
+    size = default_grid_size(n) + 1
+    stride = size // (recovery.CANDIDATE_POINTS * (n + 1))
+    return len(range(stride // 2, size, stride))
+
+
 class TestLpStart:
     """The start LP runs on 10(n+1) grid points and the refine LP on 20(n+1)
-    mesh points; the full default grid runs only as the corrupted-polynomial
-    detector, when the start fit vanishes on most of its samples."""
+    mesh points. The corrupted-polynomial detector runs only when the start
+    fit vanishes on most of its samples: its LP takes every stride-th sample
+    of the full default grid, and the full grid only when that fit's refit is
+    not exact."""
 
     @pytest.mark.parametrize(
         "spec, n, parent_l1",
@@ -458,14 +468,18 @@ class TestLpStart:
         ],
         ids=["corrupted_t5", "corrupted_u4"],
     )
-    def test_detector_recovers(self, lp_calls, case):
+    def test_detector_recovers(self, lp_calls, monkeypatch, case):
         f, n = case()
         out = best_l1(f, n)
-        assert len(lp_calls) == 2
+        # the start LP, then the strided detector LP; no full-grid LP
+        assert [len(problem.points) for problem, _ in lp_calls] == [10 * (n + 1), strided_size(n)]
         problem, detector = lp_calls[1]
-        assert len(problem.points) == default_grid_size(n) + 1
         assert out.path is Path.CORRUPTED_POLYNOMIAL
-        today = recover_l1(case()[0], n)  # the full-grid detector on its own
+        assert out.report.lp_points == out.lp_points == strided_size(n)
+        # the full-grid detector on its own: stride < 2 skips the strided LP
+        monkeypatch.setattr(recovery, "CANDIDATE_POINTS", 10**9)
+        today = recover_l1(case()[0], n)
+        assert today.lp_points == default_grid_size(n) + 1
         assert (out.report.k, out.report.exact) == (today.k, True)
         assert np.array_equal(out.report.recovered.coeffs, today.recovered.coeffs)
         assert out.duality_gap == out.report.duality_gap == detector.duality_gap
@@ -476,10 +490,12 @@ class TestLpStart:
         # the full-grid fit recovers P_8 but cannot certify it (RIP fails),
         # and Newton from its residual, which vanishes on most of [-1, 1],
         # finds no descent step: the same StepFailure as the fixed-size
-        # pipeline gave
+        # pipeline gave. The strided fit is not exact either, so the
+        # detector falls back to the full grid.
         with pytest.raises(StepFailure):
             best_l1(resolve_function("legendre8_corrupted"), n)
-        assert len(lp_calls[1][0].points) == default_grid_size(n) + 1
+        sizes = [len(problem.points) for problem, _ in lp_calls]
+        assert sizes[1:3] == [strided_size(n), default_grid_size(n) + 1]
 
     def test_corrupted_draws_keep_their_path(self, lp_calls):
         outcomes = []
@@ -491,7 +507,8 @@ class TestLpStart:
                 outcomes.append(None)
                 continue
             assert out.path is Path.CORRUPTED_POLYNOMIAL
-            assert len(lp_calls[1][0].points) == default_grid_size(n) + 1
+            # certified from the strided LP: no full-grid LP ran
+            assert [len(problem.points) for problem, _ in lp_calls] == [10 * (n + 1), strided_size(n)]
             outcomes.append(out.report.k)
         assert outcomes == DRAW_K
 

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from l1rec import lp, recovery
 from l1rec.chebyshev import Basis, ChebSeries, build_grid, chebvander_second
-from l1rec.errors import DomainError, NotFound, TooLarge
+from l1rec.errors import DomainError, NotFound, SolverFailure, TooLarge
 from l1rec.funcrep import Corruption, FuncRep
 from l1rec.recovery import (
     degree_sweep,
@@ -311,3 +312,88 @@ class TestRandomCorruptedPolynomials:
         assert rep.exact
         assert rep.k == k
         assert rep.recovered.coeffs == pytest.approx(coeffs, abs=1e-9 * np.max(np.abs(coeffs)))
+
+
+@pytest.fixture
+def lp_sizes(monkeypatch):
+    """The sample count of every LP that recover_l1 solves, in call order."""
+    sizes = []
+
+    def recording(problem):
+        sizes.append(len(problem.points))
+        return lp.solve(problem)
+
+    monkeypatch.setattr(recovery, "solve", recording)
+    return sizes
+
+
+def full_grid_report(monkeypatch, samples, n, N):
+    """recover_l1 with stride < 2: its one LP runs on the full grid."""
+    with monkeypatch.context() as m:
+        m.setattr(recovery, "CANDIDATE_POINTS", 10**9)
+        return recover_l1(samples, n, N=N)
+
+
+def assert_same_answer(rep, ref):
+    assert rep.recovered.coeffs.tobytes() == ref.recovered.coeffs.tobytes()
+    assert (rep.k, rep.exact) == (ref.k, ref.exact)
+    assert np.array_equal(rep.corrupted_indices, ref.corrupted_indices)
+
+
+class TestCertificateFirst:
+    """recover_l1 solves its LP on every stride-th sample and runs the
+    full-grid LP only when the strided fit's refit is not exact."""
+
+    def test_draws_match_the_full_grid(self, lp_sizes, monkeypatch):
+        rng = np.random.default_rng(7)
+        points = build_grid(4999).points
+        strided = fallback = 0
+        for _ in range(40):
+            n, coeffs, samples, k = criterion3_draw(rng, points)
+            lp_sizes.clear()
+            rep = recover_l1(samples, n, N=4999)
+            sizes = list(lp_sizes)
+            assert sizes[0] < 21 * (n + 1)  # the strided LP always runs first
+            if rep.exact:
+                assert sizes == [rep.lp_points]  # no full-grid LP
+                strided += 1
+            else:
+                assert sizes[1:] == [rep.lp_points] == [5000]
+                fallback += 1
+            assert_same_answer(rep, full_grid_report(monkeypatch, samples, n, 4999))
+        assert strided > 0 and fallback > 0
+
+    def test_legendre8_falls_back(self, lp_sizes, monkeypatch):
+        from l1rec.catalog import catalog_function
+
+        rep = recover_l1(catalog_function("legendre8_corrupted"), 8)
+        assert lp_sizes[1:] == [rep.lp_points] == [5000]
+        assert lp_sizes[0] < 5000
+        assert (rep.k, rep.exact) == (590, False)
+        samples = catalog_function("legendre8_corrupted").eval(rep.grid.points)
+        assert_same_answer(rep, full_grid_report(monkeypatch, samples, 8, 4999))
+
+    def test_small_grid_runs_one_lp(self, lp_sizes):
+        # N+1 = 150 < 40(n+1) = 160: stride < 2
+        p = u_series([0.5, 0.2, -0.7, 1.0])
+        rep = recover_l1(p, 3, N=149)
+        assert lp_sizes == [rep.lp_points] == [150]
+        assert rep.exact
+
+    def test_strided_solver_failure_falls_back(self, monkeypatch):
+        g = build_grid(4999)
+        p = u_series([0.5, 0.2, -0.7, 1.0])
+        samples = p(g.points)
+        samples[1000:1020] += 3.0
+        calls = []
+
+        def failing_first(problem):
+            calls.append(len(problem.points))
+            if len(calls) == 1:
+                raise SolverFailure("l1-fit LP failed")
+            return lp.solve(problem)
+
+        monkeypatch.setattr(recovery, "solve", failing_first)
+        rep = recover_l1(samples, 3, N=4999)
+        assert calls[1:] == [rep.lp_points] == [5000]
+        assert rep.exact and rep.k == 20
