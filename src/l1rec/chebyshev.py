@@ -22,15 +22,14 @@ __all__ = [
     "ChebGrid",
     "ChebSeries",
     "build_grid",
-    "chebpts_first",
     "chebvander_second",
-    "coeffs_from_values",
     "differentiate",
     "extrema_values",
     "first_to_second",
     "gap_integrals",
     "gap_moments",
     "gap_values",
+    "interpolant",
     "interpolate_on_grid",
     "second_to_first",
     "secondkind_segment_integrals",
@@ -73,9 +72,6 @@ class ChebGrid:
     points: np.ndarray
     weights: np.ndarray
     sines: np.ndarray
-
-    def __len__(self) -> int:
-        return self.size + 1
 
     @cached_property
     def thetas(self) -> np.ndarray:
@@ -364,6 +360,14 @@ def coeffs_from_values(vals: np.ndarray) -> np.ndarray:
     a = scipy.fft.dct(vals, type=2) / m
     a[0] /= 2.0
     return a
+
+
+def interpolant(fn, m: int, a: float = -1.0, b: float = 1.0) -> ChebSeries:
+    """Degree m-1 interpolant of the vectorized fn at m first-kind points of
+    [a, b], as a first-kind series in the local coordinate of [a, b]. Exact
+    when fn is a polynomial of degree < m on [a, b]."""
+    vals = np.asarray(fn(chebpts_first(m, a, b)), dtype=float)
+    return ChebSeries(Basis.FIRST, coeffs_from_values(vals))
 
 
 def interpolate_on_grid(f, n: int) -> ChebSeries:

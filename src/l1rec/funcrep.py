@@ -29,8 +29,6 @@ __all__ = [
     "Corruption",
     "FuncRep",
     "Residual",
-    "abs_integral",
-    "disjoint_intervals",
     "norm",
     "segment_l1",
 ]
@@ -71,28 +69,26 @@ def _checked(fn):
     return evaluate
 
 
-def disjoint_intervals(intervals) -> tuple:
-    """The intervals as sorted (a, b) float pairs; ValueError unless each
-    lies in [-1, 1] and no two overlap."""
-    ivs = tuple(sorted((float(a), float(b)) for a, b in intervals))
-    for a, b in ivs:
-        if not (-1.0 <= a <= b <= 1.0):
-            raise ValueError("intervals must lie in [-1, 1]")
-    for (_, b0), (a1, _) in zip(ivs[:-1], ivs[1:]):
-        if a1 < b0:
-            raise ValueError("intervals must be disjoint")
-    return ivs
-
-
 @dataclass(frozen=True)
 class Corruption:
-    """Known corruption metadata: closed support intervals and the clean part."""
+    """Known corruption metadata: closed support intervals and the clean part.
+
+    The intervals are stored as sorted (a, b) float pairs; ValueError unless
+    each lies in [-1, 1] and no two overlap.
+    """
 
     intervals: tuple
     clean: object = None  # callable or ChebSeries for the uncorrupted f0
 
     def __post_init__(self):
-        object.__setattr__(self, "intervals", disjoint_intervals(self.intervals))
+        ivs = tuple(sorted((float(a), float(b)) for a, b in self.intervals))
+        for a, b in ivs:
+            if not (-1.0 <= a <= b <= 1.0):
+                raise ValueError("intervals must lie in [-1, 1]")
+        for (_, b0), (a1, _) in zip(ivs[:-1], ivs[1:]):
+            if a1 < b0:
+                raise ValueError("intervals must be disjoint")
+        object.__setattr__(self, "intervals", ivs)
 
     @property
     def measure(self) -> float:
@@ -113,12 +109,13 @@ class Corruption:
 class FuncRep:
     """A function on [-1, 1] with proxy-based derivative and integral access."""
 
+    proxy_tol = 1e-13  # relative coefficient tail at which a proxy piece is resolved
+
     def __init__(
         self,
         evaluator,
         *,
         breakpoints=(),
-        proxy_tol: float = 1e-13,
         corruption: Corruption | None = None,
         name: str = "f",
     ):
@@ -128,13 +125,12 @@ class FuncRep:
             for a, b in corruption.intervals:
                 bps.extend(t for t in (a, b) if -1.0 < t < 1.0)
         self.breakpoints = tuple(sorted(set(bps)))
-        self.proxy_tol = float(proxy_tol)
         self.corruption = corruption
         self.name = name
 
     @classmethod
     def from_series(cls, series: ChebSeries, name: str = "p") -> "FuncRep":
-        f = cls(series, name=name, proxy_tol=1e-15)
+        f = cls(series, name=name)
         f.__dict__["proxy"] = PiecewiseCheb([Piece(-1.0, 1.0, series, True)])
         return f
 
@@ -163,9 +159,6 @@ class FuncRep:
 
     def derivative(self, x):
         return self._proxy_derivative(x)
-
-    def integrate(self, a: float, b: float) -> float:
-        return self.proxy.integrate(a, b)
 
     @cached_property
     def l1_norm(self) -> float:
@@ -228,9 +221,14 @@ class Residual:
         )
 
     @cached_property
-    def _classified(self):
-        changing, _ = sign_changing(self, self.roots)
-        return changing
+    def _sign_classes(self):
+        """sign_changing's (mask of sign-changing roots, sign of e on each
+        segment between consecutive roots)."""
+        return sign_changing(self, self.roots)
+
+    @property
+    def _classified(self) -> np.ndarray:
+        return self._sign_classes[0]
 
     @property
     def sign_change_roots(self) -> np.ndarray:
@@ -238,11 +236,14 @@ class Residual:
 
     def sign_segments(self):
         """Boundaries [-1, r_1, ..., r_K, 1] at sign-changing roots, and the
-        sign of e on each of the K+1 segments (sampled at midpoints)."""
-        bounds = np.concatenate([[-1.0], self.sign_change_roots, [1.0]])
-        mids = 0.5 * (bounds[:-1] + bounds[1:])
-        signs = np.sign(self(mids))
-        return bounds, signs
+        sign of e on each of the K+1 segments. A segment's sign is the one
+        its sub-segments between all roots carry, as sign_changing sampled
+        them; one where e sampled zero takes no part, so a touching root in
+        the segment cannot blank its sign."""
+        changing, signs = self._sign_classes
+        first = np.concatenate([[0], np.flatnonzero(changing) + 1])
+        bounds = np.concatenate([[-1.0], self.roots[changing], [1.0]])
+        return bounds, np.sign(np.add.reduceat(signs, first))
 
     def l1(self) -> float:
         """Exact ||e||_1 by signed integration between sign changes.
@@ -273,39 +274,18 @@ def segment_l1(f: FuncRep, bounds, p_integrals) -> float:
     return float(np.sum(np.abs(f.proxy.segment_integrals(bounds) - p_integrals)))
 
 
-def abs_integral(p: ChebSeries, a: float, b: float) -> float:
-    """integral_a^b |p| by splitting [a, b] at the roots of p."""
-    rts = roots_in_interval(p, a, b) if a < b else np.empty(0)
-    bounds = np.unique(np.concatenate([[a], rts, [b]]))
-    c = p.to_basis(Basis.SECOND).coeffs
-    return float(np.sum(np.abs(c @ secondkind_segment_integrals(len(c) - 1, bounds))))
-
-
-def _series_linf(series: ChebSeries) -> float:
-    pts = np.concatenate([[-1.0, 1.0], roots_in_interval(series.derivative())])
-    return float(np.max(np.abs(series(pts))))
-
-
-def _series_l2(series: ChebSeries) -> float:
-    a = series.to_basis(Basis.FIRST).coeffs
-    sq = np.polynomial.chebyshev.chebmul(a, a)
-    return float(np.sqrt(max(ChebSeries(Basis.FIRST, sq).integrate(-1.0, 1.0), 0.0)))
-
-
 def norm(obj, which: str, *, N: int | None = None, tol: float | None = None) -> float:
     """Continuous and discrete norms: "L1", "L2", "Linf", "l1", "l0".
 
     The discrete norms ("l1", "l0") require the grid size N; "l0" counts grid
-    samples with |f(x_j)| > tol. obj may be a ChebSeries, FuncRep, or Residual.
+    samples with |f(x_j)| > tol. obj may be a ChebSeries, FuncRep, or Residual;
+    the continuous norms of a ChebSeries are those of FuncRep.from_series.
     """
     if which in ("l1", "l0"):
         if N is None:
             raise ValueError("discrete norms need the grid size N")
         grid = build_grid(N)
-        evaluate = obj if callable(obj) and not isinstance(obj, FuncRep) else obj.eval
-        if isinstance(obj, (ChebSeries, Residual)):
-            evaluate = obj
-        vals = np.abs(np.asarray(evaluate(grid.points), dtype=float))
+        vals = np.abs(np.asarray(obj(grid.points), dtype=float))
         if which == "l1":
             return float(np.dot(grid.weights, vals))
         if tol is None:
@@ -313,23 +293,17 @@ def norm(obj, which: str, *, N: int | None = None, tol: float | None = None) -> 
         return int(np.count_nonzero(vals > tol))
 
     if isinstance(obj, ChebSeries):
-        if which == "L1":
-            return abs_integral(obj, -1.0, 1.0)
-        if which == "Linf":
-            return _series_linf(obj)
-        if which == "L2":
-            return _series_l2(obj)
-    else:
-        res = obj if isinstance(obj, Residual) else Residual(obj, ChebSeries(Basis.SECOND, [0.0]))
-        if which == "L1":
-            return res.l1()
-        if which == "Linf":
-            return res.linf()
-        if which == "L2":
-            total = 0.0
-            for piece in res.proxy.pieces:
-                a1 = piece.series.coeffs
-                sq = np.polynomial.chebyshev.chebmul(a1, a1)
-                total += 0.5 * (piece.b - piece.a) * ChebSeries(Basis.FIRST, sq).integrate()
-            return float(np.sqrt(max(total, 0.0)))
+        obj = FuncRep.from_series(obj)
+    res = obj if isinstance(obj, Residual) else Residual(obj, ChebSeries(Basis.SECOND, [0.0]))
+    if which == "L1":
+        return res.l1()
+    if which == "Linf":
+        return res.linf()
+    if which == "L2":
+        total = 0.0
+        for piece in res.proxy.pieces:
+            a1 = piece.series.coeffs
+            sq = np.polynomial.chebyshev.chebmul(a1, a1)
+            total += 0.5 * (piece.b - piece.a) * ChebSeries(Basis.FIRST, sq).integrate()
+        return float(np.sqrt(max(total, 0.0)))
     raise ValueError(f"unknown norm {which!r}")

@@ -16,9 +16,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chebyshev import Basis, ChebSeries, chebpts_first, coeffs_from_values
+from .catalog import catalog_function
+from .chebyshev import Basis, ChebSeries, build_grid, interpolant, interpolate_on_grid
 from .errors import ExchangeStalled
-from .funcrep import FuncRep, Residual, abs_integral, disjoint_intervals
+from .funcrep import Corruption, FuncRep, Residual
 from .newton import BestL1Result, best_l1
 
 __all__ = [
@@ -75,11 +76,6 @@ def _bary_eval(t: np.ndarray, nodes: np.ndarray, vals: np.ndarray, w: np.ndarray
         q = w / diff[rest]
         out[rest] = (q @ vals) / np.sum(q, axis=1)
     return out
-
-
-def _series_from_bary(nodes, vals, w, n: int) -> ChebSeries:
-    pts = chebpts_first(n + 1, -1.0, 1.0)
-    return ChebSeries(Basis.FIRST, coeffs_from_values(_bary_eval(pts, nodes, vals, w)))
 
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -163,7 +159,8 @@ def _remez(f: FuncRep, n: int, tol: float) -> MinimaxResult:
         w = _bary_weights(ref)
         fx = f.eval(ref)
         h = float(np.dot(w, fx)) / float(np.dot(w, sigma))
-        p = _series_from_bary(ref, fx - sigma * h, w, n)
+        vals = fx - sigma * h
+        p = interpolant(lambda t: _bary_eval(t, ref, vals, w), n + 1)
         res = Residual(f, p)
         if res.negligible:
             return MinimaxResult(p, 0.0, ref, it, 0.0, 0.0)
@@ -325,13 +322,8 @@ def sqrt_case(n: int, measured: bool = True) -> SqrtCaseReport:
     """Closed-form localization quantities for sqrt(1 - x^2) at even n."""
     if n < 2 or n % 2:
         raise ValueError("need even n >= 2")
-    f = FuncRep(
-        lambda x: np.sqrt(np.maximum(0.0, 1.0 - np.asarray(x, float) ** 2)),
-        name="sqrt1mx2",
-    )
+    f = catalog_function("sqrt1mx2")
     sigma = _dirichlet_lebesgue(n)
-    from .chebyshev import build_grid, interpolate_on_grid
-
     p_cheb = interpolate_on_grid(f.eval, n)
     res = Residual(f, p_cheb)
     sc = res.sign_change_roots
@@ -369,7 +361,7 @@ def abs_case(n: int, measured: bool = True) -> AbsCaseReport:
     l1_asym = np.pi**2 / (4.0 * n * n)
     measured_l1 = measured_linf = ratio = None
     if measured:
-        f = FuncRep(np.abs, breakpoints=[0.0], name="absx")
+        f = catalog_function("absx")
         measured_l1 = best_l1(f, n).l1_error
         measured_linf = minimax(f, n, tol=1e-8).error
         ratio = measured_l1 / l1_asym
@@ -393,16 +385,24 @@ class ConcentrationReport:
 
 
 def concentration_ratio(p: ChebSeries, intervals) -> ConcentrationReport:
-    """How much of the mass of |p| sits inside the given disjoint intervals."""
-    ivs = disjoint_intervals(intervals)
-    total = abs_integral(p, -1.0, 1.0)
-    mass = sum(abs_integral(p, a, b) for a, b in ivs)
-    s = sum(b - a for a, b in ivs)
+    """How much of the mass of |p| sits inside the given disjoint intervals.
+
+    Every mass is the integral of p between consecutive bounds: +-1, the
+    sign-changing roots of p and the interval endpoints."""
+    support = Corruption(intervals)
+    f = FuncRep.from_series(p)
+    roots = Residual(f, ChebSeries(Basis.SECOND, [0.0])).sign_change_roots
+    bounds = np.unique(np.concatenate([[-1.0, 1.0], roots, np.ravel(support.intervals)]))
+    masses = np.abs(f.proxy.segment_integrals(bounds))
+    inside = support.contains(0.5 * (bounds[:-1] + bounds[1:]))
+    total = float(np.sum(masses))
+    mass = float(np.sum(masses[inside]))
+    s = support.measure
     n = p.trimmed_degree
     lemma = s * (n + 1) ** 2 / 2.0
     appendix = None
-    if ivs and n >= 1:
-        zeta = max(max(abs(a), abs(b)) for a, b in ivs)
+    if support.intervals and n >= 1:
+        zeta = support.zeta
         if 1.0 - zeta >= 1.0 / n:
             appendix = s * n**1.5 / (1.0 - zeta * zeta) ** 0.25
     return ConcentrationReport(

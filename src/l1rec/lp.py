@@ -27,7 +27,7 @@ from scipy.optimize import linprog
 from .chebyshev import Basis, ChebSeries, chebvander_second
 from .errors import SolverFailure
 
-__all__ = ["LpSolution", "WeightedL1Fit", "solve", "dual_certificate"]
+__all__ = ["LpSolution", "WeightedL1Fit", "solve"]
 
 GAP_TOL = 1e-10  # HiGHS primal and dual feasibility tolerance
 
@@ -99,16 +99,3 @@ def solve(problem: WeightedL1Fit) -> LpSolution:
         objective=objective,
         duality_gap=abs(objective - float(f @ res.x)),
     )
-
-
-def dual_certificate(solution: LpSolution, problem: WeightedL1Fit) -> float:
-    """max_j |sum_i w_i sigma_i U_j(y_i)| for an admissible subgradient sigma.
-
-    sigma_i = sign(residual_i) where |residual_i| > 1e-9 * scale; at the zero
-    residuals sigma_i is the one the dual optimum carries. At a true optimum
-    the result is <= 1e-8 * sum(w).
-    """
-    Phi = chebvander_second(problem.points, problem.degree)
-    r = problem.values - Phi @ solution.coefficients.coeffs
-    sigma = np.where(np.abs(r) > 1e-9 * problem.scale, np.sign(r), solution.sigma)
-    return float(np.max(np.abs((problem.weights * sigma) @ Phi)))

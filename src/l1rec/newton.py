@@ -7,9 +7,8 @@ residual vanishes on most of those samples, run the corrupted-polynomial
 detector, recover_l1 on the full default grid, and exit early if it
 certifies a recovery (its LP runs on about 20(n+1) strided grid samples, and on
 the full grid only when that fit's refit is not exact); refine the LP mesh
-around the residual roots (20(n+1) points, or the full grid's size after the
-detector), and finish with Newton's method on the sign-integral optimality
-system
+around the residual roots (20(n+1) points on every path), and finish with
+Newton's method on the sign-integral optimality system
 
     mu_j(c) = integral sign(f - sum c_t U_t) U_j = 0,  j = 0..n.
 
@@ -327,12 +326,10 @@ def best_l1(
             )
 
     rep = recover_l1(f, n, N=START_POINTS * (n + 1) - 1)
-    mesh_size = REFINE_POINTS * (n + 1)
     if rep.grid.size + 1 - rep.k > DETECT_CLEAN * (n + 1):
         # the fit vanishes on most samples, as on a corrupted polynomial:
         # detect and certify on the full default grid
         rep = recover_l1(f, n)
-        mesh_size = rep.grid.size
         if rep.exact and not force_newton:
             err = Residual(f, rep.recovered).l1()
             return BestL1Result(
@@ -346,7 +343,7 @@ def best_l1(
                 duality_gap=rep.duality_gap,
                 lp_points=rep.lp_points,
             )
-    pts, wts = refine_mesh(Residual(f, rep.recovered).roots, mesh_size)
+    pts, wts = refine_mesh(Residual(f, rep.recovered).roots, REFINE_POINTS * (n + 1))
     start = solve(WeightedL1Fit(pts, wts, f.eval(pts), n))
 
     f_l1 = f.l1_norm

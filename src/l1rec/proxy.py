@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import (
-    Basis,
-    ChebSeries,
-    chebpts_first,
-    coeffs_from_values,
-    secondkind_segment_integrals,
-)
+from .chebyshev import Basis, ChebSeries, interpolant, secondkind_segment_integrals
 from .errors import NoConvergence
 
 __all__ = ["PiecewiseCheb", "Piece", "adaptive_proxy"]
@@ -79,13 +73,11 @@ def fit_on_interval(
 
     while True:
         m = deg + 1
-        pts = chebpts_first(m, a, b)
-        vals = np.asarray(evaluator(pts), dtype=float)
-        coeffs = coeffs_from_values(vals)
+        full = interpolant(evaluator, m, a, b)
+        coeffs = full.coeffs
         cmax = float(np.max(np.abs(coeffs)))
         cut = max(tol * cmax, abs_floor)
         tail = float(np.max(np.abs(coeffs[-3:])))
-        full = ChebSeries(Basis.FIRST, coeffs)
         if cmax == 0.0 or tail <= cut:
             if cmax == 0.0 or verified(full, cut):
                 return full.trimmed(cut), True
@@ -135,10 +127,6 @@ class PiecewiseCheb:
     @property
     def b(self) -> float:
         return self.pieces[-1].b
-
-    @property
-    def breaks(self) -> np.ndarray:
-        return self._edges[1:-1]
 
     @property
     def resolved(self) -> bool:
@@ -199,9 +187,11 @@ class PiecewiseCheb:
         plus one first-kind points is exact."""
         out = []
         for piece in self.pieces:
-            t = chebpts_first(max(piece.series.degree, p.degree) + 1, -1.0, 1.0)
-            vals = piece.series(t) - p(0.5 * (piece.a + piece.b) + 0.5 * (piece.b - piece.a) * t)
-            series = ChebSeries(Basis.FIRST, coeffs_from_values(vals))
+            mid, half = 0.5 * (piece.a + piece.b), 0.5 * (piece.b - piece.a)
+            series = interpolant(
+                lambda t: piece.series(t) - p(mid + half * t),
+                max(piece.series.degree, p.degree) + 1,
+            )
             out.append(Piece(piece.a, piece.b, series, piece.resolved))
         return PiecewiseCheb(out)
 

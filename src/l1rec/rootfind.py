@@ -1,22 +1,23 @@
 """Real rootfinding on [-1, 1] via colleague-matrix eigenvalues.
 
-Roots are found on polynomials only: a Chebyshev series, or each piece of a
-piecewise one. A trimmed local series of degree <= 50 goes straight to the
-colleague matrix; a larger one is split off-centre and re-expanded exactly
-on each half (Boyd's recursive subdivision), within a hard budget of 2^12
-subintervals. Roots are Newton-polished and verified on the function the
-polynomial represents, and deduplicated at 1e-12 spacing.
+Roots are found on polynomials only, and always on all of [-1, 1]: a
+Chebyshev series, or each piece of a piecewise one. A trimmed local series
+of degree <= 50 goes straight to the colleague matrix; a larger one is split
+off-centre and re-expanded exactly on each half by chebyshev.interpolant
+(Boyd's recursive subdivision), within a hard budget of 2^12 subintervals.
+Roots are Newton-polished and verified on the function the polynomial
+represents, and deduplicated at 1e-12 spacing.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .chebyshev import Basis, ChebSeries, chebpts_first, coeffs_from_values
+from .chebyshev import Basis, ChebSeries, interpolant
 from .errors import SubdivisionLimit
 from .proxy import SPLIT_RATIO, Piece, PiecewiseCheb
 
-__all__ = ["colleague_roots", "roots_in_interval", "sign_changing"]
+__all__ = ["roots_in_interval", "sign_changing"]
 
 COLLEAGUE_DEGREE = 50
 MAX_SUBINTERVALS = 2**12
@@ -68,14 +69,6 @@ def _dedup(roots: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
     return np.array([float(np.mean(g)) for g in groups])
 
 
-def _restrict(series: ChebSeries, lo: float, hi: float) -> ChebSeries:
-    """series on [lo, hi] within [-1, 1], re-expanded in the local
-    coordinate of [lo, hi]. Exact: a degree-d polynomial is resampled at
-    d + 1 first-kind points."""
-    t = chebpts_first(series.degree + 1, lo, hi)
-    return ChebSeries(Basis.FIRST, coeffs_from_values(np.asarray(series(t), dtype=float)))
-
-
 def _recurse(series, a, b, scale, budget, out, noise_floor):
     """Collect the roots of series, which lives in the local coordinate of
     [a, b], in global coordinates."""
@@ -95,11 +88,13 @@ def _recurse(series, a, b, scale, budget, out, noise_floor):
     budget[0] -= 1
     mid = a + (b - a) * SPLIT_RATIO
     split = 2.0 * SPLIT_RATIO - 1.0
-    _recurse(_restrict(series, -1.0, split), a, mid, scale, budget, out, noise_floor)
-    _recurse(_restrict(series, split, 1.0), mid, b, scale, budget, out, noise_floor)
+    # each half re-expanded exactly: a degree-d polynomial at d + 1 points
+    m = series.degree + 1
+    _recurse(interpolant(series, m, -1.0, split), a, mid, scale, budget, out, noise_floor)
+    _recurse(interpolant(series, m, split, 1.0), mid, b, scale, budget, out, noise_floor)
 
 
-def _polish(fn, derivative, roots, lo, hi):
+def _polish(fn, derivative, roots):
     if roots.size == 0:
         return roots
     r = roots.copy()
@@ -108,7 +103,7 @@ def _polish(fn, derivative, roots, lo, hi):
         dr = np.asarray(derivative(r), dtype=float)
         safe = np.abs(dr) > 1e-300
         step = np.where(safe, fr / np.where(safe, dr, 1.0), 0.0)
-        cand = np.clip(r - step, lo, hi)
+        cand = np.clip(r - step, -1.0, 1.0)
         fc = np.asarray(fn(cand), dtype=float)
         better = np.abs(fc) <= np.abs(fr)
         r = np.where(better, cand, r)
@@ -118,14 +113,12 @@ def _polish(fn, derivative, roots, lo, hi):
 
 def roots_in_interval(
     obj,
-    a: float = -1.0,
-    b: float = 1.0,
     *,
     check=None,
     scale: float | None = None,
     noise_floor: float = 0.0,
 ) -> np.ndarray:
-    """All real roots of obj in [a, b] subseteq [-1, 1], ascending, deduplicated.
+    """All real roots of obj in [-1, 1], ascending, deduplicated.
 
     obj is a ChebSeries or a PiecewiseCheb; each piece is searched
     separately. check, when given, is the function that obj represents
@@ -139,8 +132,6 @@ def roots_in_interval(
     otherwise sit far below what the evaluator can deliver once the
     residual is small and the degree is large.
     """
-    if not (-1.0 <= a <= b <= 1.0):
-        raise ValueError("need -1 <= a <= b <= 1")
     if isinstance(obj, ChebSeries):
         pieces = [Piece(-1.0, 1.0, obj)]
     elif isinstance(obj, PiecewiseCheb):
@@ -154,16 +145,10 @@ def roots_in_interval(
     out: list[float] = []
     budget = [MAX_SUBINTERVALS]
     for piece in pieces:
-        lo, hi = max(a, piece.a), min(b, piece.b)
-        if hi <= lo:
-            continue
-        series = piece.series
-        if lo > piece.a or hi < piece.b:
-            series = _restrict(series, *piece.local([lo, hi]))
-        _recurse(series, lo, hi, scale, budget, out, noise_floor)
+        _recurse(piece.series, piece.a, piece.b, scale, budget, out, noise_floor)
 
     roots = _dedup(np.asarray(sorted(out)))
-    roots = _polish(fn, obj.derivative(), roots, a, b)
+    roots = _polish(fn, obj.derivative(), roots)
     roots = _dedup(roots)
     if roots.size:
         cut = max(RESID_TOL * scale, 8.0 * noise_floor)
@@ -172,16 +157,16 @@ def roots_in_interval(
     return roots
 
 
-def sign_changing(fn, roots: np.ndarray, a: float = -1.0, b: float = 1.0):
+def sign_changing(fn, roots: np.ndarray):
     """Classify roots by the sign of fn between them.
 
     Returns (changing, signs) where `changing` is the boolean mask of roots
     across which the sign flips and `signs` holds one sign per segment of
-    [a, b] split at ALL roots (len(roots) + 1 entries). Each segment is
+    [-1, 1] split at ALL roots (len(roots) + 1 entries). Each segment is
     sampled at three interior points and the largest-magnitude value wins,
     so a touching zero sitting mid-segment cannot blank the sign.
     """
-    pts = np.concatenate([[a], roots, [b]])
+    pts = np.concatenate([[-1.0], roots, [1.0]])
     lo, hi = pts[:-1], pts[1:]
     samples = np.stack([lo + f * (hi - lo) for f in (0.25, 0.5, 0.75)])
     vals = np.asarray(fn(samples.ravel()), dtype=float).reshape(samples.shape)

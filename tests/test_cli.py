@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from l1rec.chebyshev import build_grid
 from l1rec.cli import REPORT_KEYS, run
 
 
@@ -182,8 +183,6 @@ class TestRecover:
         assert got == pytest.approx(expect, abs=1e-10)
 
     def test_samples_csv(self, capsys, tmp_path):
-        from l1rec.chebyshev import build_grid
-
         g = build_grid(40)
         vals = g.points**3 - 0.2
         vals[11] -= 4.0
@@ -215,6 +214,39 @@ class TestRecover:
         assert code == 0
         assert report["sweep_found"] == 5
         assert [r["degree"] for r in report["runs"]] == [0, 1, 2, 3, 4, 5]
+
+    def test_corrupted_spec(self, capsys, tmp_path):
+        # corrupted:COEFFS.csv:a..b,c..d:EXPR is the U-series in the file plus
+        # EXPR on the intervals; EXPR >= 2 there, so every sample inside is an
+        # error and none outside
+        path = tmp_path / "cubic.csv"
+        path.write_text("0.5\n-0.3\n0.8\n1.2\n")
+        spec = f"corrupted:{path}:-0.21..-0.18,0.4..0.41:3 + sin(20*x)"
+        code, report = run_json(
+            ["recover", "--fn", spec, "--degree", "3", "--no-timestamp"], capsys
+        )
+        assert code == 0
+        assert report["exact"] is True
+        x = build_grid(4999).points
+        inside = ((x >= -0.21) & (x <= -0.18)) | ((x >= 0.4) & (x <= 0.41))
+        assert report["k"] == int(np.count_nonzero(inside))
+        assert report["coefficients"] == pytest.approx([0.5, -0.3, 0.8, 1.2], abs=1e-10)
+
+
+class TestBench:
+    def test_lpconv_writes_csv_and_report(self, capsys, tmp_path):
+        out = tmp_path / "bench"
+        code, _ = run_cli(
+            ["bench", "--case", "lpconv", "--out", str(out), "--no-timestamp"], capsys
+        )
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["command"] == "bench"
+        rows = (out / "lp_convergence.csv").read_text().splitlines()
+        assert rows[0] == "samples,unrefined,refined"
+        samples = [int(line.split(",")[0]) for line in rows[1:]]
+        assert samples == [r["samples"] for r in report["bench"]["rows"]]
+        assert samples == [100, 316, 1000, 3162, 10000]
 
 
 class TestLocalize:

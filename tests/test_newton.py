@@ -174,6 +174,17 @@ class TestComputeMu:
         p = best_l1(f, 2).polynomial
         assert np.max(np.abs(make_state(f, p, n=2).mu)) < 1e-12
 
+    def test_touching_root_at_a_segment_midpoint(self):
+        # e = x^2 (x^2 - 1/4) changes sign at +-1/2 and touches zero at 0,
+        # the midpoint of [-1/2, 1/2]: that segment's sign is -1, not 0, so
+        # mu = (int_{|x|>1/2} U_j - int_{|x|<1/2} U_j)_j = (0, 0, 2)
+        f = FuncRep(lambda x: x**2 * (x**2 - 0.25), name="touch")
+        c = u_series([0.0, 0.0, 0.0])
+        bounds, signs = Residual(f, c).sign_segments()
+        assert bounds == pytest.approx([-1.0, -0.5, 0.5, 1.0], abs=1e-14)
+        assert list(signs) == [1.0, -1.0, 1.0]
+        assert make_state(f, c).mu == pytest.approx([0.0, 0.0, 2.0], abs=1e-13)
+
 
 class TestNewtonStep:
     def test_fixed_point_at_optimum(self):
@@ -496,6 +507,8 @@ class TestLpStart:
             best_l1(resolve_function("legendre8_corrupted"), n)
         sizes = [len(problem.points) for problem, _ in lp_calls]
         assert sizes[1:3] == [strided_size(n), default_grid_size(n) + 1]
+        # the refine LP is sized by degree on this path too
+        assert len(sizes) == 4 and sizes[3] <= 25 * (n + 1)
 
     def test_corrupted_draws_keep_their_path(self, lp_calls):
         outcomes = []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from l1rec import lp, recovery
+from l1rec.catalog import corrupted
 from l1rec.chebyshev import Basis, ChebSeries, build_grid, chebvander_second
 from l1rec.errors import DomainError, NotFound, SolverFailure, TooLarge
 from l1rec.funcrep import Corruption, FuncRep
@@ -111,13 +112,7 @@ class TestRecoverL1:
         omega = lambda x: 2.0 * np.cos(35.0 * x) + 0.8
         intervals = ((-0.7, -0.67), (0.9, 0.903))
         corr = Corruption(intervals=intervals, clean=t5)
-
-        def f(x):
-            x = np.asarray(x, dtype=float)
-            inside = corr.contains(x)
-            return t5(x) + np.where(inside, omega(x), 0.0)
-
-        frep = FuncRep(f, corruption=corr, name="corrupted_t5")
+        frep = corrupted(t5, omega, corr, "corrupted_t5")
         rep = recover_l1(frep, 5, N=4999)
         assert rep.exact
         diff = rep.recovered - t5
@@ -230,12 +225,8 @@ class TestDegreeSweep:
     def test_corrupted_cubic(self):
         p = u_series([0.5, -0.3, 0.8, 1.2])
         corr = Corruption(intervals=((-0.21, -0.18), (0.4, 0.41)), clean=p)
-
-        def f(x):
-            x = np.asarray(x, dtype=float)
-            return p(x) + np.where(corr.contains(x), 3.0 + np.sin(20 * x), 0.0)
-
-        out = degree_sweep(FuncRep(f, corruption=corr), 6, N=400)
+        omega = lambda x: 3.0 + np.sin(20 * x)
+        out = degree_sweep(corrupted(p, omega, corr, "f"), 6, N=400)
         assert out.found == 3
         assert len(out.reports) == 4
         assert out.reports[-1].recovered.coeffs == pytest.approx(p.coeffs, abs=1e-9)

@@ -37,18 +37,6 @@ class TestSeriesRoots:
         assert len(r) == n
         assert np.max(np.abs(r - expect)) < 1e-12
 
-    def test_subinterval(self):
-        r = roots_in_interval(t_basis(5), 0.0, 1.0)
-        assert len(r) == 3  # positive roots of T_5 (x=cos(pi/10,3pi/10,5pi/10)>=0)
-        # above the colleague degree: restriction, then subdivision
-        for n in (51, 120, 200):
-            k = np.arange(n, 0, -1)
-            expect = np.cos((2 * k - 1) * np.pi / (2 * n))
-            expect = expect[expect >= 0.0]
-            r = roots_in_interval(t_basis(n), 0.0, 1.0)
-            assert len(r) == len(expect)
-            assert np.max(np.abs(r - expect)) < 1e-12
-
     def test_rejects_a_callable(self):
         with pytest.raises(TypeError):
             roots_in_interval(np.sin)
