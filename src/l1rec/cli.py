@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .catalog import CATALOG_NAMES, catalog_function, corrupted, funcrep_from_expression
+from .catalog import CATALOG_NAMES, corrupted, resolve_function
 from .chebyshev import Basis, ChebSeries, build_grid
 from .errors import DomainError, L1RecError, ParseError
 from .expressions import parse_expression
@@ -159,15 +159,13 @@ def _corrupted_spec(spec: str) -> FuncRep:
 
 def _resolve_fn(spec: str, *, allow_samples: bool):
     """Resolve --fn: catalog name, corrupted:..., samples CSV, or expression."""
-    if spec in CATALOG_NAMES:
-        return catalog_function(spec), None
     if spec.startswith("corrupted:"):
         return _corrupted_spec(spec), None
-    if spec.endswith(".csv") or os.path.exists(spec):
+    if spec not in CATALOG_NAMES and (spec.endswith(".csv") or os.path.exists(spec)):
         if not allow_samples:
             raise ValueError("sample files carry no off-grid values: use recover")
         return None, _load_samples_csv(spec)
-    return funcrep_from_expression(spec), None
+    return resolve_function(spec), None
 
 
 def _write_errdata(path: str, f: FuncRep, p: ChebSeries):

@@ -6,18 +6,18 @@ minimax reference polynomial comes from a Remez exchange. Its extrema are
 taken from a composite grid and polished by one golden-section search run on
 every sign run of the residual at once, so each step is one vectorized
 residual evaluation and no derivative is needed (robust for kinks and endpoint
-singularities). The polynomial is carried barycentrically on the reference
-and converted to a Chebyshev series each iteration.
+singularities). Each exchange finds the polynomial and the level by one
+linear solve of the reference system in the first-kind basis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .catalog import catalog_function
-from .chebyshev import Basis, ChebSeries, build_grid, interpolant, interpolate_on_grid
+from .chebyshev import Basis, ChebSeries, tcheb_values
 from .errors import ExchangeStalled
 from .funcrep import Corruption, FuncRep, Residual
 from .newton import BestL1Result, best_l1
@@ -52,30 +52,6 @@ class MinimaxResult:
     iterations: int
     level: float
     max_error: float
-
-
-def _bary_weights(x: np.ndarray) -> np.ndarray:
-    """Barycentric weights up to a common factor, scaled to avoid overflow."""
-    d = x[:, None] - x[None, :]
-    np.fill_diagonal(d, 1.0)
-    logw = -np.sum(np.log(np.abs(d)), axis=1)
-    sgn = np.prod(np.sign(d), axis=1)
-    return sgn * np.exp(logw - np.max(logw))
-
-
-def _bary_eval(t: np.ndarray, nodes: np.ndarray, vals: np.ndarray, w: np.ndarray):
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    diff = t[:, None] - nodes[None, :]
-    exact = np.isclose(diff, 0.0, atol=0.0)
-    out = np.empty_like(t)
-    hit = exact.any(axis=1)
-    if np.any(hit):
-        out[hit] = vals[exact[hit].argmax(axis=1)]
-    rest = ~hit
-    if np.any(rest):
-        q = w / diff[rest]
-        out[rest] = (q @ vals) / np.sum(q, axis=1)
-    return out
 
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -145,31 +121,35 @@ def _alternating_extrema(res: Residual, ref: np.ndarray):
     return np.asarray(keep_x), np.asarray(keep_v)
 
 
-class _DegenerateLevel(Exception):
-    """Raised when the reference forces h = 0 (symmetric f: the true
-    equioscillation count exceeds n+2, so the exchange needs a larger
-    reference)."""
+def minimax(f: FuncRep, n: int, tol: float = 1e-9) -> MinimaxResult:
+    """Remez exchange for the degree <= n minimax approximant.
 
-
-def _remez(f: FuncRep, n: int, tol: float) -> MinimaxResult:
+    The returned error is certified within tol relatively: the reference
+    level |h| (`level`) is a lower bound and the largest located extremum
+    (`max_error`) a matching upper bound at convergence, and `error` is
+    their midpoint. The first reference is the extrema of T_{n+2} without
+    +1, since a reference symmetric about 0 forces h = 0 for even f at even
+    n and odd f at odd n.
+    n must be a non-negative integer and tol lie in (0, 1).
+    """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"degree must be a non-negative integer, got {n!r}")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
     m = n + 2
-    ref = np.cos(np.pi * np.arange(m - 1, -1, -1) / (m - 1))
+    ref = np.cos(np.pi * np.arange(m, 0, -1) / m)
     sigma = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
     for it in range(1, MAX_EXCHANGES + 1):
-        w = _bary_weights(ref)
-        fx = f.eval(ref)
-        h = float(np.dot(w, fx)) / float(np.dot(w, sigma))
-        vals = fx - sigma * h
-        p = interpolant(lambda t: _bary_eval(t, ref, vals, w), n + 1)
+        # [T_0..T_n at ref | sigma] [a; h] = f(ref)
+        sol = np.linalg.solve(np.column_stack([tcheb_values(n, ref).T, sigma]), f.eval(ref))
+        p, h = ChebSeries(Basis.FIRST, sol[:-1]), abs(float(sol[-1]))
         res = Residual(f, p)
         if res.negligible:
             return MinimaxResult(p, 0.0, ref, it, 0.0, 0.0)
-        if abs(h) <= 1e-13 * f.value_scale:
-            raise _DegenerateLevel
         ex, ev = _alternating_extrema(res, ref)
         errmax = float(np.max(np.abs(ev)))
-        if errmax - abs(h) <= tol * errmax:
-            return MinimaxResult(p, 0.5 * (errmax + abs(h)), ref, it, abs(h), errmax)
+        if errmax - h <= tol * errmax:
+            return MinimaxResult(p, 0.5 * (errmax + h), ref, it, h, errmax)
         if len(ex) < m:
             raise ExchangeStalled(
                 f"found {len(ex)} alternating extrema, need {m} (iteration {it})"
@@ -184,46 +164,6 @@ def _remez(f: FuncRep, n: int, tol: float) -> MinimaxResult:
         ref = ex
         sigma = np.sign(ev)
     raise ExchangeStalled(f"no convergence in {MAX_EXCHANGES} exchanges")
-
-
-def minimax(f: FuncRep, n: int, tol: float = 1e-9) -> MinimaxResult:
-    """Remez exchange for the degree <= n minimax approximant.
-
-    The returned error is certified within tol relatively: the reference
-    level |h| (`level`) is a lower bound and the largest located extremum
-    (`max_error`) a matching upper bound at convergence, and `error` is
-    their midpoint. Symmetric targets whose equioscillation count is
-    n+3 (even f with even n, odd f with odd n) degenerate the n+2-point
-    level to h = 0; the exchange then reruns one degree higher, where the
-    best polynomial is the same, and truncates the (numerically zero)
-    leading coefficient, adding its magnitude to max_error so that the
-    bracket holds for the returned polynomial.
-    n must be a non-negative integer and tol lie in (0, 1).
-    """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"degree must be a non-negative integer, got {n!r}")
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
-    try:
-        return _remez(f, n, tol)
-    except _DegenerateLevel:
-        out = _remez(f, n + 1, tol)
-        first = out.polynomial.to_basis(Basis.FIRST)
-        cut = float(abs(first.coeffs[-1]))
-        if cut > 1e-10 * max(first.coeff_max, 1e-300):
-            raise ExchangeStalled(
-                "level degenerated at n+2 points but the (n+1)-degree answer "
-                "is not degree-deficient"
-            )
-        # |T_{n+1}| <= 1, so cutting the leading term moves the residual by
-        # at most |cut|: widen the upper end of the bracket by it
-        max_error = out.max_error + cut
-        return replace(
-            out,
-            polynomial=ChebSeries(Basis.FIRST, first.coeffs[: n + 1]),
-            error=0.5 * (out.level + max_error),
-            max_error=max_error,
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,9 +252,7 @@ class SqrtCaseReport:
     proj_endpoint: float  # 2 / (pi (n+1))
     sigma_n: float
     omega_upper: float  # 64 (1 + sigma_n) / (n+1)^2
-    b_coefficients: np.ndarray
     shortcut_taken: bool
-    interpolant_nodes_all_crossing: bool
     measured_l1: float | None
 
 
@@ -322,23 +260,15 @@ def sqrt_case(n: int, measured: bool = True) -> SqrtCaseReport:
     """Closed-form localization quantities for sqrt(1 - x^2) at even n."""
     if n < 2 or n % 2:
         raise ValueError("need even n >= 2")
-    f = catalog_function("sqrt1mx2")
     sigma = _dirichlet_lebesgue(n)
-    p_cheb = interpolate_on_grid(f.eval, n)
-    res = Residual(f, p_cheb)
-    sc = res.sign_change_roots
-    nodes = build_grid(n).points
-    all_crossing = len(sc) == n + 1 and np.max(np.abs(sc - nodes)) <= 1e-7
-    out = best_l1(f, n) if measured else None
+    out = best_l1(catalog_function("sqrt1mx2"), n) if measured else None
     return SqrtCaseReport(
         n=n,
         l1_upper=64.0 / (np.pi * (n + 1) ** 3),
         proj_endpoint=2.0 / (np.pi * (n + 1)),
         sigma_n=sigma,
         omega_upper=64.0 * (1.0 + sigma) / (n + 1) ** 2,
-        b_coefficients=np.array([sqrt_u_coefficient(j) for j in range(n + 2)]),
         shortcut_taken=(out is not None and out.path.value == "interpolant_shortcut"),
-        interpolant_nodes_all_crossing=all_crossing,
         measured_l1=None if out is None else out.l1_error,
     )
 

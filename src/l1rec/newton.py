@@ -85,7 +85,6 @@ class NewtonState:
     k: int
     coeffs: ChebSeries
     roots: np.ndarray  # sign-changing roots of the residual
-    signs: np.ndarray  # one sign per segment between sign-changing roots
     eprime: np.ndarray  # residual derivative at the sign-changing roots
     mu: np.ndarray
     objective: float
@@ -119,7 +118,6 @@ def make_state(f: FuncRep, c: ChebSeries, n: int | None = None, k: int = 0, **fl
         k=k,
         coeffs=c,
         roots=roots,
-        signs=signs,
         eprime=eprime,
         mu=mu,
         objective=res.l1(),

@@ -160,6 +160,15 @@ class TestApprox:
         code = run(["approx", "--fn", str(path), "--degree", "2", "--no-timestamp"])
         assert code == 2
 
+    def test_catalog_name_beats_a_file_of_that_name(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "absx").write_text("x,f\n0.0,1.0\n")
+        code, report = run_json(
+            ["approx", "--fn", "absx", "--degree", "2", "--no-timestamp"], capsys
+        )
+        assert code == 0
+        assert report["l1_error"] == pytest.approx((np.sqrt(5.0) - 2.0) / 2.0, abs=1e-9)
+
 
 class TestRecover:
     def test_corrupted_t5(self, capsys):

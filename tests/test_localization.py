@@ -75,20 +75,30 @@ class TestMinimax:
             (FuncRep(np.abs, breakpoints=[0.0], name="absx"), 20),
             (FuncRep(np.exp, name="exp"), 5),
             *[(FuncRep(t_basis(n + 1), name="T"), n) for n in (1, 3, 6)],
+            # symmetric targets whose best error equioscillates at n+3 points
+            (FuncRep(lambda x: x * np.abs(x), breakpoints=[0.0], name="xabsx"), 21),
+            (sqrtf(), 10),
         ],
-        ids=["absx-20", "exp-5", "T2-1", "T4-3", "T7-6"],
+        ids=["absx-20", "exp-5", "T2-1", "T4-3", "T7-6", "xabsx-21", "sqrt1mx2-10"],
     )
     def test_level_bracket(self, f, n):
         tol = 1e-9
         out = minimax(f, n, tol=tol)
+        assert out.polynomial.degree == n
         assert out.level <= out.error <= out.max_error
         assert out.max_error - out.level <= tol * out.max_error
 
+    def test_absx_high_degree_exchange_count(self):
+        # a start reference that is not symmetric about 0 keeps the level of
+        # even f at even n nonzero from the first exchange on
+        out = minimax(FuncRep(np.abs, breakpoints=[0.0], name="absx"), 640, tol=1e-9)
+        assert out.iterations <= 8
+        assert out.level <= out.error <= out.max_error
+
     def test_degenerate_bracket_covers_the_cut_coefficient(self):
-        # even f, even n: the level degenerates and the exchange reruns at
-        # degree n+1, where the 9e-14 T_21 term survives as the leading
-        # coefficient that minimax cuts; the returned polynomial's residual
-        # is larger by up to that much, and max_error has to cover it
+        # even f, even n, plus a 9e-14 T_21 term that no degree-20
+        # polynomial can absorb: the bracket has to hold for the returned
+        # degree-n polynomial's residual, measured on a dense grid
         n = 20
         lead = np.zeros(n + 2)
         lead[-1] = 9e-14
