@@ -22,7 +22,10 @@ __all__ = [
     "ChebGrid",
     "ChebSeries",
     "build_grid",
+    "chebpts_first",
     "chebvander_second",
+    "clenshaw",
+    "coeffs_from_values",
     "differentiate",
     "extrema_values",
     "first_to_second",
@@ -113,27 +116,40 @@ def first_to_second(a: np.ndarray) -> np.ndarray:
 
 
 def second_to_first(c: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`first_to_second`."""
+    """Inverse of :func:`first_to_second`, along the last axis."""
     c = np.asarray(c, dtype=float)
-    n = len(c) - 1
-    a = np.zeros(n + 3)
+    n = c.shape[-1] - 1
+    a = np.zeros(c.shape[:-1] + (n + 3,))
     # a_k = 2 c_k + a_{k+2}: twice a running sum from the top, per parity
-    # (np.cumsum adds in order, so this rounds as the recurrence does)
+    # (np.cumsum adds in order, so this rounds as the recurrence does, and
+    # zeros padded above a row's degree add exact zeros)
     for start in (1, 2):
-        a[start : n + 1 : 2] = 2.0 * np.cumsum(c[start::2][::-1])[::-1]
-    a[0] = c[0] + a[2] / 2.0
-    return a[: n + 1]
+        a[..., start : n + 1 : 2] = 2.0 * np.cumsum(c[..., start::2][..., ::-1], axis=-1)[..., ::-1]
+    a[..., 0] = c[..., 0] + a[..., 2] / 2.0
+    return a[..., : n + 1]
 
 
-def _clenshaw(coeffs: np.ndarray, basis: Basis, x):
+def clenshaw(coeffs: np.ndarray, basis: Basis, x, rows=None):
+    """sum_k c_k T_k(x) (or U_k) by Clenshaw's recurrence.
+
+    coeffs is one series (1-D), or a stack of series, one per row of a 2-D
+    array; then rows, an integer array broadcastable against x, names the
+    row that each point reads. Each step fetches one coefficient column, so
+    a row zero-padded above its degree adds exact zeros, and its values are
+    bitwise those of its own unpadded series.
+    """
     x = np.asarray(x, dtype=float)
-    b1 = np.zeros_like(x)
-    b2 = np.zeros_like(x)
-    for ck in coeffs[:0:-1]:
+    c = np.asarray(coeffs, dtype=float)
+    if rows is None:  # iterated directly: a 2-D index per step costs ~4% at few points
+        high, c0 = c[:0:-1], c[0]
+    else:
+        high, c0 = (c[rows, k] for k in range(c.shape[1] - 1, 0, -1)), c[rows, 0]
+    b1 = b2 = np.zeros_like(x)
+    for ck in high:
         b1, b2 = ck + 2.0 * x * b1 - b2, b1
     if basis is Basis.FIRST:
-        return coeffs[0] + x * b1 - b2
-    return coeffs[0] + 2.0 * x * b1 - b2
+        return c0 + x * b1 - b2
+    return c0 + 2.0 * x * b1 - b2
 
 
 def tcheb_values(kmax: int, x) -> np.ndarray:
@@ -297,7 +313,7 @@ class ChebSeries:
         return self.trimmed(0.0).degree
 
     def __call__(self, x):
-        return _clenshaw(self.coeffs, self.basis, x)
+        return clenshaw(self.coeffs, self.basis, x)
 
     # -- conversions ----------------------------------------------------
     def to_basis(self, basis: Basis) -> "ChebSeries":
@@ -346,7 +362,7 @@ class ChebSeries:
         return f"ChebSeries({self.basis.value}, degree={self.degree})"
 
 
-def chebpts_first(m: int, a: float, b: float) -> np.ndarray:
+def chebpts_first(m: int, a: float = -1.0, b: float = 1.0) -> np.ndarray:
     """m Chebyshev points of the first kind mapped to [a, b], descending in
     the canonical DCT ordering x_k = cos(pi (2k+1)/(2m))."""
     k = np.arange(m)
@@ -355,10 +371,10 @@ def chebpts_first(m: int, a: float, b: float) -> np.ndarray:
 
 
 def coeffs_from_values(vals: np.ndarray) -> np.ndarray:
-    """First-kind coefficients of the interpolant at first-kind points."""
-    m = len(vals)
-    a = scipy.fft.dct(vals, type=2) / m
-    a[0] /= 2.0
+    """First-kind coefficients of the interpolants at first-kind points, along the last axis."""
+    m = vals.shape[-1]
+    a = scipy.fft.dct(vals, type=2, axis=-1) / m
+    a[..., 0] /= 2.0
     return a
 
 

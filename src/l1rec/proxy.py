@@ -12,10 +12,20 @@ width.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .chebyshev import Basis, ChebSeries, interpolant, secondkind_segment_integrals
+from .chebyshev import (
+    Basis,
+    ChebSeries,
+    chebpts_first,
+    clenshaw,
+    coeffs_from_values,
+    interpolant,
+    second_to_first,
+    secondkind_segment_integrals,
+)
 from .errors import NoConvergence
 
 __all__ = ["PiecewiseCheb", "Piece", "adaptive_proxy"]
@@ -106,52 +116,69 @@ class Piece:
     def local(self, x):
         return (2.0 * np.asarray(x, dtype=float) - self.a - self.b) / (self.b - self.a)
 
-    def __call__(self, x):
-        return self.series(self.local(x))
-
 
 class PiecewiseCheb:
-    """A list of contiguous Chebyshev pieces covering [-1, 1] (or a part)."""
+    """Contiguous Chebyshev pieces in one basis covering [-1, 1] (or a part).
+
+    The pieces' coefficients are held as one matrix, one zero-padded row per
+    piece, with the piece ends in `edges` and each row's degree in
+    `degrees`, so evaluation, differentiation and re-expansion act on every
+    piece in one array pass.
+    """
 
     def __init__(self, pieces):
         pieces = sorted(pieces, key=lambda p: p.a)
         if not pieces:
             raise ValueError("need at least one piece")
-        self.pieces = pieces
-        self._edges = np.array([p.a for p in pieces] + [pieces[-1].b])
+        if len({p.series.basis for p in pieces}) > 1:
+            raise ValueError("pieces must share one basis")
+        self.basis = pieces[0].series.basis
+        self.edges = np.array([p.a for p in pieces] + [pieces[-1].b])
+        self.degrees = np.array([p.series.degree for p in pieces])
+        self.coeffs = np.zeros((len(pieces), self.degrees.max() + 1))
+        for row, p in zip(self.coeffs, pieces):
+            row[: p.series.degree + 1] = p.series.coeffs
+        self._resolved = np.array([p.resolved for p in pieces])
+        self.__dict__["pieces"] = pieces
+
+    def _stacked(self, basis, coeffs, degrees) -> "PiecewiseCheb":
+        """A proxy on the same pieces with the given coefficient matrix."""
+        out = PiecewiseCheb.__new__(PiecewiseCheb)
+        out.__dict__.update(vars(self), basis=basis, coeffs=coeffs, degrees=degrees)
+        out.__dict__.pop("pieces", None)
+        return out
+
+    @cached_property
+    def pieces(self) -> list:
+        return [
+            Piece(a, b, ChebSeries(self.basis, row[: d + 1]), bool(ok))
+            for a, b, row, d, ok in zip(
+                self.edges[:-1], self.edges[1:], self.coeffs, self.degrees, self._resolved
+            )
+        ]
 
     @property
     def a(self) -> float:
-        return self.pieces[0].a
+        return float(self.edges[0])
 
     @property
     def b(self) -> float:
-        return self.pieces[-1].b
+        return float(self.edges[-1])
 
     @property
     def resolved(self) -> bool:
-        return all(p.resolved for p in self.pieces)
+        return bool(self._resolved.all())
 
     @property
     def coeff_max(self) -> float:
-        return max(p.series.coeff_max for p in self.pieces)
-
-    def _locate(self, x: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self._edges, x, side="right") - 1
-        return np.clip(idx, 0, len(self.pieces) - 1)
+        return float(np.max(np.abs(self.coeffs)))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xf = np.atleast_1d(x).ravel()
-        out = np.empty_like(xf)
-        idx = self._locate(xf)
-        for i in np.unique(idx):  # touch only the pieces actually hit
-            mask = idx == i
-            out[mask] = self.pieces[i](xf[mask])
-        if scalar:
-            return float(out[0])
-        return out.reshape(np.atleast_1d(x).shape)
+        idx = np.clip(np.searchsorted(self.edges, x, side="right") - 1, 0, len(self.degrees) - 1)
+        lo, hi = self.edges[idx], self.edges[idx + 1]
+        out = clenshaw(self.coeffs, self.basis, (2.0 * x - lo - hi) / (hi - lo), rows=idx)
+        return float(out) if x.ndim == 0 else out
 
     def integrate(self, a: float, b: float) -> float:
         if b < a:
@@ -175,25 +202,26 @@ class PiecewiseCheb:
         return out
 
     def derivative(self) -> "PiecewiseCheb":
-        out = []
-        for p in self.pieces:
-            d = p.series.derivative() * (2.0 / (p.b - p.a))
-            out.append(Piece(p.a, p.b, d, p.resolved))
-        return PiecewiseCheb(out)
+        """Every piece differentiated at once, in the second kind: with
+        T_k' = k U_{k-1} and the chain rule 2/(b - a) of each piece."""
+        a = self.coeffs if self.basis is Basis.FIRST else second_to_first(self.coeffs)
+        d = a[:, 1:] * np.arange(1, a.shape[1]) if a.shape[1] > 1 else np.zeros_like(a)
+        d *= (2.0 / np.diff(self.edges))[:, None]
+        return self._stacked(Basis.SECOND, d, np.maximum(self.degrees - 1, 0))
 
     def minus(self, p: ChebSeries) -> "PiecewiseCheb":
-        """self - p, piece by piece. Each difference is a polynomial of
-        degree max(piece degree, deg p), so interpolating it at that many
-        plus one first-kind points is exact."""
-        out = []
-        for piece in self.pieces:
-            mid, half = 0.5 * (piece.a + piece.b), 0.5 * (piece.b - piece.a)
-            series = interpolant(
-                lambda t: piece.series(t) - p(mid + half * t),
-                max(piece.series.degree, p.degree) + 1,
-            )
-            out.append(Piece(piece.a, piece.b, series, piece.resolved))
-        return PiecewiseCheb(out)
+        """self - p. On a piece of degree d the difference is a polynomial
+        of degree m - 1 = max(d, deg p), so interpolating it at m first-kind
+        points is exact; the pieces of one m are re-expanded together."""
+        mid, half = 0.5 * (self.edges[:-1] + self.edges[1:]), 0.5 * np.diff(self.edges)
+        ms = np.maximum(self.degrees, p.degree) + 1
+        out = np.zeros((len(ms), ms.max()))
+        for m in np.unique(ms):
+            g = np.flatnonzero(ms == m)
+            t = chebpts_first(m)
+            own = clenshaw(self.coeffs[g, :m], self.basis, t, rows=np.arange(len(g))[:, None])
+            out[g, :m] = coeffs_from_values(own - p(mid[g, None] + half[g, None] * t))
+        return self._stacked(Basis.FIRST, out, ms - 1)
 
 
 def _split_fit(evaluator, a, b, tol, abs_floor, budget) -> list:

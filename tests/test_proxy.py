@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from l1rec.catalog import catalog_function
-from l1rec.chebyshev import Basis, ChebSeries
-from l1rec.proxy import MIN_PIECE_WIDTH, PiecewiseCheb, adaptive_proxy
+from l1rec.chebyshev import Basis, ChebSeries, interpolant, interpolate_on_grid
+from l1rec.proxy import MIN_PIECE_WIDTH, Piece, PiecewiseCheb, adaptive_proxy
 
 
 def single_series(prox) -> ChebSeries:
@@ -97,7 +97,7 @@ class TestSplitting:
     def test_segment_integrals_across_piece_edges(self):
         prox = catalog_function("sqrt1mx2").proxy
         assert len(prox.pieces) == 150
-        mids = 0.5 * (prox._edges[1:] + prox._edges[:-1])
+        mids = 0.5 * (prox.edges[1:] + prox.edges[:-1])
         bounds = np.unique(np.concatenate([mids, np.linspace(-1.0, 1.0, 41)]))
         parts = prox.segment_integrals(bounds)
         assert parts.sum() == pytest.approx(prox.integrate(-1.0, 1.0), rel=1e-15)
@@ -112,3 +112,68 @@ class TestSplitting:
         assert prox.integrate(-1.0, 1.0) == pytest.approx(
             (1.25**2 + 0.75**2) / 2, rel=1e-10
         )
+
+
+def piecewise_reference(prox, x):
+    """prox at x, one piece at a time: each point goes to the piece [a, b)
+    that holds it (the last piece also takes b)."""
+    out = np.empty_like(x)
+    last = len(prox.pieces) - 1
+    for i, piece in enumerate(prox.pieces):
+        inside = (x >= piece.a) & ((x < piece.b) | (i == last))
+        out[inside] = piece.series(piece.local(x[inside]))
+    return out
+
+
+class TestStackedPieces:
+    """The stacked kernels give bitwise what the per-piece loops gave."""
+
+    @pytest.fixture(scope="class")
+    def prox(self):
+        prox = catalog_function("sqrt1mx2").proxy
+        assert len(prox.pieces) == 150
+        return prox
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_call_matches_each_piece(self, prox, order):
+        for _ in range(order):
+            prox = prox.derivative()
+        x = np.concatenate([prox.edges, np.linspace(-1.0, 1.0, 3001)])
+        x = np.concatenate([x, 0.5 * (prox.edges[1:] + prox.edges[:-1])])
+        assert np.array_equal(prox(x), piecewise_reference(prox, x))
+        value = prox(np.float64(0.3))
+        assert isinstance(value, float)
+        assert value == piecewise_reference(prox, np.array([0.3]))[0]
+        assert prox(np.empty(0)).shape == (0,)
+        grid = x[: x.size // 2 * 2]
+        assert np.array_equal(prox(grid.reshape(2, -1)), prox(grid).reshape(2, -1))
+
+    def test_derivative_matches_each_piece(self, prox):
+        for _ in range(2):  # first kind, then the second kind the first returns
+            d = prox.derivative()
+            assert d.basis is Basis.SECOND
+            for piece, dp in zip(prox.pieces, d.pieces):
+                ref = piece.series.derivative() * (2.0 / (piece.b - piece.a))
+                assert np.array_equal(dp.series.coeffs, ref.coeffs)
+                assert (dp.a, dp.b, dp.resolved) == (piece.a, piece.b, piece.resolved)
+            prox = d
+
+    @pytest.mark.parametrize("n", [0, 20, 200])
+    def test_minus_matches_each_piece(self, prox, n):
+        p = interpolate_on_grid(catalog_function("sqrt1mx2"), n)
+        diff = prox.minus(p)
+        assert diff.basis is Basis.FIRST
+        for piece, dp in zip(prox.pieces, diff.pieces):
+            mid, half = 0.5 * (piece.a + piece.b), 0.5 * (piece.b - piece.a)
+            ref = interpolant(
+                lambda t: piece.series(t) - p(mid + half * t),
+                max(piece.series.degree, p.degree) + 1,
+            )
+            assert np.array_equal(dp.series.coeffs, ref.coeffs)
+            assert dp.resolved == piece.resolved
+
+    def test_mixed_bases_rejected(self):
+        first = ChebSeries(Basis.FIRST, [1.0, 2.0])
+        second = ChebSeries(Basis.SECOND, [1.0, 2.0])
+        with pytest.raises(ValueError, match="one basis"):
+            PiecewiseCheb([Piece(-1.0, 0.0, first), Piece(0.0, 1.0, second)])

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from l1rec import rootfind
 from l1rec.catalog import catalog_function
 from l1rec.chebyshev import Basis, ChebSeries, interpolate_on_grid
+from l1rec.errors import SubdivisionLimit
 from l1rec.funcrep import FuncRep, Residual
-from l1rec.rootfind import roots_in_interval, sign_changing
+from l1rec.rootfind import _dedup, roots_in_interval, sign_changing
 
 
 def t_basis(deg):
@@ -37,6 +39,17 @@ class TestSeriesRoots:
         assert len(r) == n
         assert np.max(np.abs(r - expect)) < 1e-12
 
+    @pytest.mark.parametrize("budget, ok", [(20, True), (19, False)])
+    def test_subdivision_budget(self, monkeypatch, budget, ok):
+        # T_200 needs exactly 20 subdivisions before every subinterval's
+        # series has degree <= 50; the budget counts them over all levels
+        monkeypatch.setattr(rootfind, "MAX_SUBINTERVALS", budget)
+        if ok:
+            assert len(roots_in_interval(t_basis(200))) == 200
+        else:
+            with pytest.raises(SubdivisionLimit):
+                roots_in_interval(t_basis(200))
+
     def test_rejects_a_callable(self):
         with pytest.raises(TypeError):
             roots_in_interval(np.sin)
@@ -46,6 +59,40 @@ class TestSeriesRoots:
         c = np.array([0.5 + 0.09, -0.6, 0.5])
         r = roots_in_interval(ChebSeries(Basis.FIRST, c))
         assert np.all(np.abs(r - 0.3) < 1e-6)
+
+
+def dedup_reference(roots, tol=rootfind.DEDUP_TOL):
+    """The grouping loop: each root within tol of its predecessor joins its
+    run, and a run is replaced by its mean."""
+    groups = []
+    for r in np.sort(roots):
+        if groups and r - groups[-1][-1] <= tol:
+            groups[-1].append(r)
+        else:
+            groups.append([r])
+    return np.array([np.mean(g) for g in groups])
+
+
+class TestDedup:
+    def test_runs_match_the_grouping_loop(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            centres = np.sort(rng.uniform(-1.0, 1.0, rng.integers(1, 20)))
+            sizes = rng.integers(1, 9, centres.size)
+            roots = np.concatenate([c + rng.uniform(-1, 1, k) * 3e-13 for c, k in zip(centres, sizes)])
+            rng.shuffle(roots)
+            got, ref = _dedup(roots), dedup_reference(roots)
+            assert got.shape == ref.shape
+            # a run of k roots is summed in another order than np.mean's, so
+            # the means differ by at most twice the (k-1) eps |x| rounding of
+            # a k-term mean; runs of one or two are bitwise equal
+            assert np.max(np.abs(got - ref)) <= 2 * 7 * np.finfo(float).eps
+        pairs = np.array([0.5, 0.5 + 5e-13, -0.25, -0.25 - 1e-13, 0.75, 0.1, 0.1 + 2e-12])
+        assert np.array_equal(_dedup(pairs), dedup_reference(pairs))
+        assert _dedup(pairs).size == 5
+
+    def test_empty(self):
+        assert _dedup(np.empty(0)).size == 0
 
 
 class TestResidualRoots:
